@@ -13,9 +13,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import enriques  # noqa: F401  (re-exported for library users)
-from .errors import (HypothesisFailed, LimitSeriesError, MonotonicityViolation,
-                     PrecisionExceeded, ResourceLimit)
+from .errors import (DomainError, HypothesisFailed, LimitSeriesError,
+                     MonotonicityViolation, PrecisionExceeded, ResourceLimit)
 from .horace import (LineSystemModel, OracleScene, SpecializationPlan,
                      apply_theorem, hypothesis_check, limit_inclusion_check,
                      nagata_certificate, validate_plan)
@@ -198,6 +197,9 @@ def _cmd_nagata(args) -> int:
     except ResourceLimit as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (ValueError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (HypothesisFailed, LimitSeriesError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -334,6 +336,16 @@ def _report_limit(args, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitseries",
@@ -345,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("op", choices=["suppress", "slice", "collide", "check"])
     sp.add_argument("--heights", help="comma-separated heights, e.g. 3,2,1")
     sp.add_argument("--file", help="staircase file (text i:h lines or JSON)")
-    sp.add_argument("--t", type=int, default=0, help="slice index to suppress")
-    sp.add_argument("--k", type=int, default=0, help="slice index to take")
+    sp.add_argument("--t", type=_nonnegative_int, default=0,
+                    help="slice index to suppress")
+    sp.add_argument("--k", type=_nonnegative_int, default=0,
+                    help="slice index to take")
     sp.add_argument("--a", help="first staircase (collide)")
     sp.add_argument("--b", help="second staircase (collide)")
     _add_common(sp)

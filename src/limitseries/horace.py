@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
                      OracleResourceLimit)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
-from .interp import Site, conditions_matrix
+from .interp import Site, conditions_matrix, monomials_of_degree_at_most
 from .linalg import (DEFAULT_PRIME, kernel_mod_p, kernel_over_fpt, rank_mod_p,
                      require_prime)
 from .localring import Element, MonomialSpace, RingContext, flat_limit
@@ -270,14 +269,18 @@ def _materialize_scene(plan, scene, rng, p):
     return _Placed(sliding, divisor, ambient)
 
 
+def _base_sites(placed, r):
+    """Fat-point base conditions after r copies of the divisor are split
+    off: divisor points drop to multiplicity M - r, ambient ones stay."""
+    sites = [Site(regular(M - r), (0, w))
+             for M, w in placed.divisor if M - r > 0]
+    sites += [Site(regular(M), pt) for M, pt in placed.ambient]
+    return sites
+
+
 def _residual_system_sites(plan, placed, r, residual):
     """Sites cutting out L(-rD - residual) on the quotient by x^r."""
-    sites = []
-    for M, w in placed.divisor:
-        if M - r > 0:
-            sites.append(Site(regular(M - r), (0, w)))
-    for M, pt in placed.ambient:
-        sites.append(Site(regular(M), pt))
+    sites = _base_sites(placed, r)
     for E, y in zip(residual, placed.sliding_ys):
         if not E.is_empty:
             sites.append(Site(E, (0, y)))
@@ -338,25 +341,14 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         placed = _materialize_scene(plan, scene, rng, p)
         for i in range(1, plan.r + 1):
             di = d - (i - 1)
-            sites_with = []
-            for M, w in placed.divisor:
-                if M - (i - 1) > 0:
-                    sites_with.append(Site(regular(M - (i - 1)), (0, w)))
-            for M, pt in placed.ambient:
-                sites_with.append(Site(regular(M), pt))
+            sites_with = _base_sites(placed, i - 1)
             ts = plan.t_vector(i)
             for E, t, y in zip(plan.shapes, ts, placed.sliding_ys):
                 Z = _slice_as_plane(E.slice(t))
                 if not Z.is_empty:
                     sites_with.append(Site(Z, (0, y)))
             a = _system_dim(di, sites_with, p)
-            sites_without = []
-            for M, w in placed.divisor:
-                if M - i > 0:
-                    sites_without.append(Site(regular(M - i), (0, w)))
-            for M, pt in placed.ambient:
-                sites_without.append(Site(regular(M), pt))
-            b = _system_dim(di - 1, sites_without, p)
+            b = _system_dim(di - 1, _base_sites(placed, i), p)
             dims_with[i - 1] = a if dims_with[i - 1] is None else min(dims_with[i - 1], a)
             dims_without[i - 1] = b if dims_without[i - 1] is None \
                 else min(dims_without[i - 1], b)
@@ -480,27 +472,18 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
             f"limit check supports <= {MAX_SLIDING_SITES} sliding sites")
     rng = random.Random(f"{seed}:{scene.seed}:limit")
     placed = _materialize_scene(plan, scene, rng, p)
-    cols = [(i, j) for s in range(d + 1) for i in range(s + 1) for j in (s - i,)]
-    colindex = {mon: idx for idx, mon in enumerate(cols)}
+    cols = monomials_of_degree_at_most(d)
 
     rows = []
-    static_sites = [Site(regular(M), (0, w)) for M, w in placed.divisor]
-    static_sites += [Site(regular(M), pt) for M, pt in placed.ambient]
-    for row in conditions_matrix(static_sites, d, p):
+    for row in conditions_matrix(_base_sites(placed, 0), d, p):
         rows.append([[c] if c else [] for c in row])
     for E, v, y in zip(plan.shapes, plan.speeds, placed.sliding_ys):
-        ypow = [1] * (d + 1)
-        for i in range(1, d + 1):
-            ypow[i] = ypow[i - 1] * y % p
-        for (a, b) in E.cells():
-            row = [[] for _ in cols]
-            for (i, j), idx in colindex.items():
-                if i < a or j < b:
-                    continue
-                c = comb(i, a) * comb(j, b) * ypow[j - b] % p
-                if c:
-                    row[idx] = [0] * (v * (i - a)) + [c]
-            rows.append(row)
+        # the site sits at (t^v, y): its identity-frame rows at (1, y),
+        # with the x-power t^(v(i-a)) put back as a shift in t
+        site_rows = conditions_matrix([Site(E, (1, y))], d, p)
+        for (a, _b), row in zip(E.cells(), site_rows):
+            rows.append([[0] * (v * (i - a)) + [c] if c else []
+                         for (i, _j), c in zip(cols, row)])
 
     family_vecs = kernel_over_fpt(rows, len(cols), p)
     ctx = RingContext(dim=2, prime=p, t_trunc=t_precision, x_cap=max(d, 1))
@@ -519,14 +502,9 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     residual = residual_override if residual_override is not None \
         else plan.residual_tuple()
     target_sites = _residual_system_sites(plan, placed, r, residual)
-    gcols = [(i, j) for s in range(d - r + 1)
-             for i in range(s + 1) for j in (s - i,)]
+    gcols = monomials_of_degree_at_most(d - r)
     grows = conditions_matrix(target_sites, d - r, p) if d - r >= 0 else []
-    if not grows:
-        gkernel = [[1 if i == j else 0 for i in range(len(gcols))]
-                   for j in range(len(gcols))]
-    else:
-        gkernel = kernel_mod_p(grows, len(gcols), p)
+    gkernel = kernel_mod_p(grows, len(gcols), p)
     fiber_ctx = ctx.with_t(1)
     target_elems = []
     for vec in gkernel:

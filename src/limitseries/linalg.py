@@ -191,20 +191,6 @@ def pmul(a, b, p, trunc=None):
     return out
 
 
-def pshift(a, k):
-    """Multiply by t^k."""
-    if not a:
-        return []
-    return [0] * k + list(a)
-
-
-def ptrunc(a, n):
-    out = list(a[:n])
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def pval(a):
     """t-adic valuation; None for the zero polynomial."""
     for i, v in enumerate(a):
@@ -216,25 +202,6 @@ def pval(a):
 def pdiv_t(a, k):
     """Exact division by t^k (caller guarantees valuation >= k)."""
     return list(a[k:])
-
-
-def peval0(a):
-    return a[0] if a else 0
-
-
-def pinv_mod_tn(a, n, p):
-    """Inverse of a unit (a[0] != 0) modulo t^n, by linear recurrence."""
-    inv0 = pow(a[0], -1, p)
-    out = [0] * n
-    out[0] = inv0
-    for k in range(1, n):
-        acc = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = (-acc % p) * inv0 % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,37 +217,6 @@ def _row_normalize_t(row, p):
     if k == 0:
         return row
     return [pdiv_t(c, k) if c else c for c in row]
-
-
-def rank_over_fpt(rows, p) -> int:
-    """Rank over the fraction field F_p(t) (fraction-free elimination)."""
-    rows = [[pnorm(list(c), p) for c in row] for row in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pc = prow[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [psub(pmul(pc, c, p), pmul(f, d, p), p)
-                           for c, d in zip(rows[i], prow)]
-                rows[i] = _row_normalize_t(rows[i], p)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def kernel_over_fpt(rows, ncols, p):

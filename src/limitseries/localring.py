@@ -734,19 +734,25 @@ class FamilyIdeal:
             raise ResourceLimit("span of non-graded generators is not supported")
         columns = {}
         for w in _exponents_upto(ctx.dim - 1, cap):
-            ncoords = cap - sum(w) + 1
-            rows = []
+            bases = []
             for wg, xdeg, g in homog:
                 if len(wg) != len(w) or any(a > b for a, b in zip(wg, w)):
                     continue
-                base = {}
-                for (a, te), c in g.terms.items():
-                    if te < n:
-                        base[(a[0], te)] = c
-                for s in range(ncoords - xdeg):
-                    rows.append({(j + s, te): c for (j, te), c in base.items()})
-            columns[w] = TModule.from_rows(ctx.prime, n, ncoords, rows)
+                bases.append(({(a[0], te): c for (a, te), c in g.terms.items()
+                               if te < n}, xdeg))
+            columns[w] = _shifted_column(ctx.prime, n, cap - sum(w) + 1, bases)
         return MonomialSpace.from_columns(ctx, columns)
+
+
+def _shifted_column(p, n, ncoords, bases):
+    """Column module spanned by x_1^s * base for every (base, xdeg) and every
+    shift s that keeps the x_1-degree xdeg + s below ncoords.  Bases are
+    {(x_1 exponent, t exponent): coeff} dicts; rows keep the order given."""
+    rows = []
+    for base, xdeg in bases:
+        for s in range(ncoords - xdeg):
+            rows.append({(j + s, te): c for (j, te), c in base.items()})
+    return TModule.from_rows(p, n, ncoords, rows)
 
 
 def _exponents_upto(arity, total):
@@ -850,9 +856,7 @@ def _chain_columns(E, v, ns, ctx, final_colon):
                 te = v * (h - l)
                 if te < n1:
                     base[(l, te)] = comb(h, l) * (-1) ** (h - l)
-            rows = [{(j + s, te): c for (j, te), c in base.items()}
-                    for s in range(ncoords - h)]
-            mod = TModule.from_rows(p, n1, ncoords, rows)
+            mod = _shifted_column(p, n1, ncoords, [(base, h)])
         for idx, n in enumerate(ns):
             mod = mod.truncate(n)
             if idx < k - 1 or final_colon:
@@ -973,13 +977,11 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
         if E.height(w) == 0:
             columns[w] = TModule.full(p, n_k, ncoords)
             continue
-        rows = []
+        bases = []
         for g in by_col.get(w, []):
             base = {(a[0], te): c for (a, te), c in g.terms.items()}
-            xdeg = max((j for (j, _te) in base), default=0)
-            for s in range(ncoords - xdeg):
-                rows.append({(j + s, te): c for (j, te), c in base.items()})
-        columns[w] = TModule.from_rows(p, n_k, ncoords, rows)
+            bases.append((base, max((j for (j, _te) in base), default=0)))
+        columns[w] = _shifted_column(p, n_k, ncoords, bases)
     out_ctx = ctx.with_t(n_k).with_cap(cap)
     return MonomialSpace.from_columns(out_ctx, columns)
 

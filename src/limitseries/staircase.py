@@ -100,8 +100,6 @@ class Staircase:
             if h > k:
                 tail = key[1:]
                 new_heights[tail] = max(new_heights.get(tail, 0), key[0] + 1)
-        # key[0] runs over an initial segment for each tail, so the max is
-        # exactly the count; assert stays cheap and catches misuse.
         return Staircase(self.dim - 1, new_heights)
 
     def slice_size(self, k: int) -> int:

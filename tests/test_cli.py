@@ -99,6 +99,14 @@ class TestStaircaseCommand:
         code, _, err = run(capsys, "staircase", "check")
         assert code == 2 and "required" in err
 
+    @pytest.mark.parametrize("op,flag", [("slice", "--k"), ("suppress", "--t")])
+    def test_negative_index_exit_2(self, capsys, op, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["staircase", op, "--heights", "3,2", flag, "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "must be >= 0" in err and "Traceback" not in err
+
 
 class TestNagataCommand:
     def test_oracle_small(self, capsys):
@@ -148,6 +156,18 @@ class TestNagataCommand:
                            "--prime", "91")
         assert code == 2
         assert "not prime" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "0", "--m", "1"),
+        ("--k", "2", "--m", "0"),
+        ("--k", "2", "--m", "1", "--trials", "0"),
+        ("--k", "1", "--m", "1", "--certificate"),
+    ])
+    def test_out_of_range_arguments_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "nagata", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("LIMITSERIES_SEED", "7")

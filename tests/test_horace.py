@@ -216,6 +216,16 @@ class TestLimitInclusion:
         assert ok
         assert details["dim_limit"] == details["dim_target"] == 5
 
+    def test_no_target_conditions(self):
+        # the residual is empty and the scene has no base points, so the
+        # target is every conic and its condition matrix has no rows
+        plan = simple_plan([make_staircase([1, 1, 1, 1])], (2,), (1,))
+        model = LineSystemModel(degree=3, line_base_degrees=(0,))
+        ok, details = limit_inclusion_check(
+            plan, model, OracleScene(prime=P, seed=4), seed=4)
+        assert ok
+        assert details["dim_limit"] == details["dim_target"] == 6
+
     def test_dim_bound_recorded_with_scene(self):
         plan = simple_plan([regular(1)], (2,), (1,))
         model = LineSystemModel(degree=3, line_base_degrees=(4,))
