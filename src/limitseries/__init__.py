@@ -9,7 +9,7 @@ from .errors import (BoundaryWarning, CapExceeded, CapExhausted, DomainError,
                      InvalidSequence, InvalidTruncation, LengthMismatch,
                      LimitSeriesError, MonotonicityViolation,
                      MultiplicitiesUnset, NotUnloaded, OracleResourceLimit,
-                     PrecisionExceeded, PrimeTooSmall, ResourceLimit)
+                     PrimeTooSmall, ResourceLimit)
 from .hilbert import (ambient_sections, bookkeeping_identity,
                       critical_bounds_report, critical_degree,
                       fat_point_degree, virtual_hilbert)

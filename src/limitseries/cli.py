@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (DomainError, HypothesisFailed, LimitSeriesError,
-                     MonotonicityViolation, PrecisionExceeded, ResourceLimit)
+                     MonotonicityViolation, PrimeTooSmall, ResourceLimit)
 from .horace import (LineSystemModel, OracleScene, SpecializationPlan,
                      apply_theorem, hypothesis_check, limit_inclusion_check,
                      nagata_certificate, validate_plan)
@@ -38,9 +38,6 @@ def _add_common(parser):
     parser.add_argument("--x-cap", type=int, default=24,
                         help="x-degree budget; computations needing more "
                              "are refused without --force")
-    parser.add_argument("--t-prec", type=int, default=None,
-                        help="t-adic working precision for flat limits "
-                             "(default: exact; retried upward on exhaustion)")
     parser.add_argument("--json", action="store_true", dest="json_out")
     parser.add_argument("--force", action="store_true")
     parser.add_argument("--output", default=None, help="write output to a file")
@@ -54,7 +51,6 @@ class RunConfig:
     prime: int
     prime2: int | None
     x_cap: int
-    t_prec: int | None
     json_out: bool
     force: bool
     output: str | None
@@ -71,10 +67,10 @@ class RunConfig:
             raise ValueError("prime must be below 2^62")
         if args.prime2 is not None and not is_prime(args.prime2):
             raise ValueError(f"{args.prime2} is not prime")
-        if args.x_cap < 1 or (args.t_prec is not None and args.t_prec < 1):
+        if args.x_cap < 1:
             raise ValueError("caps must be positive")
-        return cls(seed, args.prime, args.prime2, args.x_cap, args.t_prec,
-                   args.json_out, args.force, args.output)
+        return cls(seed, args.prime, args.prime2, args.x_cap, args.json_out,
+                   args.force, args.output)
 
 
 def _config(args) -> RunConfig | None:
@@ -145,6 +141,8 @@ def _cmd_staircase(args) -> int:
                        "size": out.degree}
             text = str(out.degree)
         elif args.op == "collide":
+            if args.a is None or args.b is None:
+                raise ValueError("collide needs both --a and --b")
             A = _parse_heights(args.a)
             B = _parse_heights(args.b)
             out = vertical_collision(A, B)
@@ -197,7 +195,7 @@ def _cmd_nagata(args) -> int:
     except ResourceLimit as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, DomainError) as exc:
+    except (ValueError, DomainError, PrimeTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (HypothesisFailed, LimitSeriesError) as exc:
@@ -276,7 +274,8 @@ def _cmd_limit(args) -> int:
                 print("error: --verify-limit needs a scene in the plan file",
                       file=sys.stderr)
                 return EXIT_INVALID
-            contained, details = _limit_with_retries(plan, model, scene, cfg)
+            contained, details = limit_inclusion_check(plan, model, scene,
+                                                       seed=cfg.seed)
             payload["limit_inclusion"] = details
             if not contained:
                 _report_limit(args, payload)
@@ -284,6 +283,9 @@ def _cmd_limit(args) -> int:
     except ResourceLimit as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except PrimeTooSmall as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (HypothesisFailed, LimitSeriesError) as exc:
         payload["error"] = str(exc)
         _report_limit(args, payload)
@@ -291,21 +293,6 @@ def _cmd_limit(args) -> int:
         return EXIT_CHECK_FAILED
     _report_limit(args, payload)
     return EXIT_OK
-
-
-def _limit_with_retries(plan, model, scene, cfg):
-    """Run the flat-limit containment check, doubling the t-adic working
-    precision on exhaustion (exact polynomials when --t-prec is unset)."""
-    prec = cfg.t_prec
-    if prec is None:
-        return limit_inclusion_check(plan, model, scene, seed=cfg.seed)
-    for _ in range(8):
-        try:
-            return limit_inclusion_check(plan, model, scene, seed=cfg.seed,
-                                         t_precision=prec)
-        except PrecisionExceeded:
-            prec *= 2
-    return limit_inclusion_check(plan, model, scene, seed=cfg.seed)
 
 
 def _report_limit(args, payload) -> None:

@@ -14,7 +14,7 @@ class LengthMismatch(LimitSeriesError):
 
 
 class CapExceeded(LimitSeriesError):
-    """A computation needs more x-degree or t-precision than the context tracks."""
+    """A computation needs more x-degree or t-adic precision than the context tracks."""
 
 
 class CapExhausted(LimitSeriesError):
@@ -22,7 +22,7 @@ class CapExhausted(LimitSeriesError):
 
 
 class InvalidTruncation(LimitSeriesError):
-    """Truncation target exceeds the current t-precision."""
+    """Truncation target exceeds the context's current t-truncation."""
 
 
 class InvalidSequence(LimitSeriesError):
@@ -31,10 +31,6 @@ class InvalidSequence(LimitSeriesError):
 
 class DivisionWitnessFailure(LimitSeriesError):
     """A low-order coefficient expected to vanish during exact division did not."""
-
-
-class PrecisionExceeded(LimitSeriesError):
-    """t-adic elimination ran out of working precision; retry with a larger one."""
 
 
 class PrimeTooSmall(LimitSeriesError):

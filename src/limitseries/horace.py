@@ -15,13 +15,12 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
-                     OracleResourceLimit)
+                     OracleResourceLimit, PrimeTooSmall)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import Site, conditions_matrix, monomials_of_degree_at_most
-from .linalg import (DEFAULT_PRIME, kernel_mod_p, kernel_over_fpt, rank_mod_p,
-                     require_prime)
-from .localring import Element, MonomialSpace, RingContext, flat_limit
+from .linalg import DEFAULT_PRIME, kernel_mod_p, rank_mod_p, require_prime
+from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
 
 MAX_LIMIT_DEGREE = 6
@@ -254,6 +253,11 @@ class _Placed:
 
 
 def _materialize_scene(plan, scene, rng, p):
+    need = (len(plan.shapes) + len(scene.divisor_base)
+            + 2 * len(scene.ambient_base))
+    if need >= p:
+        raise PrimeTooSmall(f"prime {p} has fewer than {need} distinct "
+                            f"nonzero coordinates for the scene")
     used = set()
 
     def draw():
@@ -452,10 +456,15 @@ def apply_theorem(plan: SpecializationPlan, model: LineSystemModel,
 def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
                           scene: OracleScene, seed: int = 0,
                           residual_override: StaircaseTuple | None = None,
-                          r_override: int | None = None,
-                          t_precision: int | None = None):
-    """Materialize a basis of the moving system over F_p[t], take its flat
-    limit, and test containment in the span of L(-rD - residual).
+                          r_override: int | None = None):
+    """Take the flat limit of the moving system ker A(t) and test
+    containment in the span of L(-rD - residual).
+
+    Flat limits commute with orthogonal complements, so lim ker A(t) is the
+    annihilator of the limit of A(t)'s row space: the condition rows go
+    through flat_limit as they are, and one kernel over F_p of the limit
+    rows gives the limit system.  The moving system has the same dimension
+    by construction (columns minus the rank of A(t) over F_p(t)).
 
     Returns (contained, details).  residual_override and r_override
     substitute a corrupted residual claim (negative controls: one extra
@@ -474,29 +483,20 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     placed = _materialize_scene(plan, scene, rng, p)
     cols = monomials_of_degree_at_most(d)
 
-    rows = []
-    for row in conditions_matrix(_base_sites(placed, 0), d, p):
-        rows.append([[c] if c else [] for c in row])
+    # rows of A(t) as {(monomial, t-exponent): c}
+    rows = [{(mon, 0): c for mon, c in zip(cols, row) if c}
+            for row in conditions_matrix(_base_sites(placed, 0), d, p)]
     for E, v, y in zip(plan.shapes, plan.speeds, placed.sliding_ys):
         # the site sits at (t^v, y): its identity-frame rows at (1, y),
         # with the x-power t^(v(i-a)) put back as a shift in t
         site_rows = conditions_matrix([Site(E, (1, y))], d, p)
         for (a, _b), row in zip(E.cells(), site_rows):
-            rows.append([[0] * (v * (i - a)) + [c] if c else []
-                         for (i, _j), c in zip(cols, row)])
-
-    family_vecs = kernel_over_fpt(rows, len(cols), p)
-    ctx = RingContext(dim=2, prime=p, t_trunc=t_precision, x_cap=max(d, 1))
-    family = []
-    for vec in family_vecs:
-        terms = {}
-        for idx, poly in enumerate(vec):
-            mon = cols[idx]
-            for e, c in enumerate(poly):
-                if c:
-                    terms[(mon, e)] = c
-        family.append(Element(ctx, terms))
-    limit = flat_limit(family, ctx)
+            rows.append({((i, j), v * (i - a)): c
+                         for (i, j), c in zip(cols, row) if c})
+    ctx = RingContext(dim=2, prime=p, x_cap=max(d, 1))
+    row_limit = flat_limit(rows, ctx)
+    limit = kernel_mod_p([[row.get((mon, 0), 0) for mon in cols]
+                          for row in row_limit.rows.values()], len(cols), p)
 
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \
@@ -504,23 +504,16 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     target_sites = _residual_system_sites(plan, placed, r, residual)
     gcols = monomials_of_degree_at_most(d - r)
     grows = conditions_matrix(target_sites, d - r, p) if d - r >= 0 else []
-    gkernel = kernel_mod_p(grows, len(gcols), p)
-    fiber_ctx = ctx.with_t(1)
-    target_elems = []
-    for vec in gkernel:
-        terms = {}
-        for idx, c in enumerate(vec):
-            if c:
-                i, j = gcols[idx]
-                terms[((i + r, j), 0)] = c
-        target_elems.append(Element(fiber_ctx, terms))
-    target = MonomialSpace.from_elements(fiber_ctx, target_elems)
+    target = []
+    for vec in kernel_mod_p(grows, len(gcols), p):
+        shifted = {(i + r, j): c for (i, j), c in zip(gcols, vec)}
+        target.append([shifted.get(mon, 0) for mon in cols])
 
-    contained = all(target.contains(el) for el in limit.basis())
+    contained = rank_mod_p(target + limit, p) == len(target)
     details = {
-        "dim_moving": len(family),
-        "dim_limit": limit.dimension(),
-        "dim_target": target.dimension(),
+        "dim_moving": len(cols) - row_limit.dimension(),
+        "dim_limit": len(limit),
+        "dim_target": len(target),
         "r": r,
         "residual": [E.to_json() for E in residual],
         "contained": contained,

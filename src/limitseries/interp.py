@@ -257,6 +257,8 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
         raise ValueError("k and m must be >= 1")
     if d_max is None:
         d_max = k * m + k
+    if d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
     deg_z = k * k * fat_point_degree(m)
     cost = deg_z * ambient_sections(d_max)
     if cost > DESK_MATRIX_BUDGET and not force:

@@ -224,6 +224,9 @@ def kernel_over_fpt(rows, ncols, p):
 
     Entries of the returned vectors are polynomials in t; each vector is
     normalized by its t-content so that some entry is a unit at t=0.
+    The library reads limits off the condition rows instead (see
+    horace.limit_inclusion_check); this fraction-free route stays as the
+    exact reference the tests compare that against.
     """
     rows = [[pnorm(list(c), p) for c in row] for row in rows]
     rows = [r for r in rows if any(r)]

@@ -8,7 +8,7 @@ All ideals and modules in the chain are graded by the x_2..x_d exponent
 (truncation and colon-by-x_1 both preserve that multidegree), so spans are
 stored column by column: one canonical Howell-form module over F_p[t]/(t^n)
 in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
-(flat limits, condition kernels) use a plain reduced echelon form instead.
+(flat limits) use a plain reduced echelon form instead.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from math import comb
 
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
-                     InvalidTruncation, PrecisionExceeded, PrimeTooSmall,
-                     ResourceLimit)
+                     InvalidTruncation, PrimeTooSmall, ResourceLimit)
 from .linalg import DEFAULT_PRIME, is_prime
 from .staircase import Staircase
 
@@ -830,7 +829,7 @@ def _chain_columns(E, v, ns, ctx, final_colon):
     p, cap = ctx.prime, ctx.x_cap
     if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
         raise InvalidTruncation(
-            f"context t-precision {ctx.t_trunc} below first level {ns[0]}")
+            f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
     gens = E.complement_generators()
     need = k + max(max((sum(c) for c in gens), default=0),
                    max((h + sum(w) for w, h in E.heights.items()), default=0))
@@ -992,79 +991,74 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
 
 
 def flat_limit(family, ctx: RingContext) -> MonomialSpace:
-    """lim_{t->0} of the span of a family over F_p[t].
+    """lim_{t->0} of the span of a family over F_p[t] (exact coefficients).
 
     Gaussian elimination with t-adic valuation pivoting: vectors are divided
     by their t-content, the t=0 layer is reduced, and cancellations are
-    pushed to higher t-order until the t=0 parts are independent.  The output
-    dimension equals the rank of the family over F_p(t).  With a finite
-    t-truncation, eliminations that exhaust the precision raise
-    PrecisionExceeded (the caller raises the working precision and retries).
+    pushed to higher t-order until the t=0 parts are independent.  Only
+    scalar multiples are subtracted, so t-degrees never grow.  The output
+    dimension equals the rank of the family over F_p(t).
+
+    A vector dependent over F_p(t) need not ever vanish ((1-t)x after x
+    does not), so two exact rules drop it instead:
+    - once the basis has as many vectors as the family has distinct
+      monomials, its t=0 parts span all of them;
+    - once a vector was divided by t more often than the basis t-degrees
+      plus its own entering t-degree sum to.  Each division divides every
+      maximal minor of [basis; vector] by t, and for an independent vector
+      some minor is a nonzero polynomial of at most that degree.
+    A finite t-truncation cannot tell dependence from high valuation, so
+    contexts with one are refused.
     """
+    if ctx.t_trunc is not None:
+        raise ValueError("flat_limit needs exact coefficients (t_trunc=None)")
     p = ctx.prime
-    T = ctx.t_trunc
     vectors = []
     for el in family:
         terms = el.terms if isinstance(el, Element) else dict(el)
         vec = {}
         for (a, te), c in terms.items():
-            vec.setdefault(a, {})[te] = c % p
+            if c % p:
+                vec.setdefault(a, {})[te] = c % p
         vectors.append(vec)
+    span_dim = len({a for vec in vectors for a in vec})
 
-    basis = []  # list of (pivot_monomial, t0_part, full_vector, shift)
-
-    def t0_part(vec):
-        return {a: poly[0] for a, poly in vec.items() if poly.get(0)}
-
+    basis = []  # (pivot_monomial, full_vector with a unit pivot at t=0)
+    basis_tdeg = 0
     for vec in vectors:
-        # with finite precision T, digits are reliable below t^(T - shift);
-        # shift grows under division by t and combines by max when vectors mix
-        shift = 0
+        if len(basis) == span_dim:
+            break
+        room = basis_tdeg + max((max(q) for q in vec.values()), default=0)
         while True:
             vec = {a: {e: c for e, c in poly.items() if c}
                    for a, poly in vec.items()}
             vec = {a: poly for a, poly in vec.items() if poly}
-            if not vec:
-                # exact coefficients: the vector was dependent over F_p(t);
-                # truncated ones: indistinguishable from valuation >= T
-                if T is not None:
-                    raise PrecisionExceeded(
-                        f"vector vanished modulo t^{T - shift} during "
-                        f"elimination (working precision {T})")
-                break
-            val = min(min(poly) for poly in vec.values())
-            if val > 0:
-                shift += val
-                if T is not None and shift >= T:
-                    raise PrecisionExceeded(
-                        f"elimination needs t-degree >= {T}")
+            val = min((min(poly) for poly in vec.values()), default=0)
+            room -= val
+            if not vec or room < 0:
+                break  # dependent over F_p(t)
+            if val:
                 vec = {a: {e - val: c for e, c in poly.items()}
                        for a, poly in vec.items()}
-                if T is not None:
-                    window = T - shift
-                    vec = {a: {e: c for e, c in poly.items() if e < window}
-                           for a, poly in vec.items()}
-            head = t0_part(vec)
-            for pivot, b0, bvec, bshift in basis:
-                c = head.get(pivot)
-                if not c:
-                    continue
-                shift = max(shift, bshift)
-                for a, poly in bvec.items():
-                    dst = vec.setdefault(a, {})
-                    for e, bc in poly.items():
-                        dst[e] = (dst.get(e, 0) - c * bc) % p
-                head = t0_part(vec)
+            for pivot, bvec in basis:
+                c = vec.get(pivot, {}).get(0)
+                if c:
+                    for a, poly in bvec.items():
+                        dst = vec.setdefault(a, {})
+                        for e, bc in poly.items():
+                            dst[e] = (dst.get(e, 0) - c * bc) % p
+            head = {a: poly[0] for a, poly in vec.items() if poly.get(0)}
             if head:
                 pivot = max(head, key=lambda a: _order_key((a, 0)))
                 inv = pow(head[pivot], -1, p)
-                vec = {a: {e: c * inv % p for e, c in poly.items()}
+                vec = {a: {e: c * inv % p for e, c in poly.items() if c}
                        for a, poly in vec.items()}
-                basis.append((pivot, t0_part(vec), vec, shift))
+                basis.append((pivot, vec))
+                basis_tdeg += max(max(poly) for poly in vec.values() if poly)
                 break
             # t=0 layer cancelled; loop divides by t again
 
-    limit_rows = [{(a, 0): c for a, c in b0.items()}
-                  for _piv, b0, _v, _s in basis]
+    limit_rows = [{(a, 0): poly[0] for a, poly in bvec.items() if poly.get(0)}
+                  for _pivot, bvec in basis]
     out_ctx = ctx.with_t(1)
     return MonomialSpace(out_ctx, rows=_sparse_rref(limit_rows, p, _order_key))

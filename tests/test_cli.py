@@ -99,6 +99,13 @@ class TestStaircaseCommand:
         code, _, err = run(capsys, "staircase", "check")
         assert code == 2 and "required" in err
 
+    @pytest.mark.parametrize("argv", [("--a", "2,1"), ("--b", "1,1"), ()])
+    def test_collide_needs_both_operands_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "staircase", "collide", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("op,flag", [("slice", "--k"), ("suppress", "--t")])
     def test_negative_index_exit_2(self, capsys, op, flag):
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +169,9 @@ class TestNagataCommand:
         ("--k", "2", "--m", "0"),
         ("--k", "2", "--m", "1", "--trials", "0"),
         ("--k", "1", "--m", "1", "--certificate"),
+        ("--k", "2", "--m", "1", "--d-max", "-1"),
+        ("--k", "2", "--m", "1", "--prime", "3"),
+        ("--k", "3", "--m", "2", "--certificate", "--prime", "5"),
     ])
     def test_out_of_range_arguments_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "nagata", *argv)
@@ -212,6 +222,26 @@ class TestLimitCommand:
         code, out, _ = run(capsys, "limit", str(f), "--oracle")
         assert code == 0
         assert "(oracle)" in out
+
+    @pytest.mark.parametrize("divisor_base", [[2, 2], []])
+    def test_prime_below_degree_exit_2(self, tmp_path, capsys, divisor_base):
+        # with two divisor points F_3 has too few coordinates for the scene;
+        # without them the degree-4 conditions need a prime above 4
+        plan = dict(PLAN_OK, scene={"divisor_base": divisor_base,
+                                    "prime": 3, "seed": 11})
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(plan))
+        code, _, err = run(capsys, "limit", str(f), "--verify-limit")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_t_prec_flag_removed(self, tmp_path, capsys):
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(PLAN_OK))
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", str(f), "--t-prec", "4"])
+        assert exc.value.code == 2
+        assert "--t-prec" in capsys.readouterr().err
 
     def test_degree_beyond_x_cap_refused(self, tmp_path, capsys):
         plan = dict(PLAN_OK)

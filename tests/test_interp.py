@@ -147,6 +147,10 @@ class TestNagataOracle:
         with pytest.raises(ResourceLimit):
             verify_nagata_theorem(12, 9)
 
+    def test_negative_d_max_rejected(self):
+        with pytest.raises(ValueError, match="d_max"):
+            verify_nagata_theorem(2, 1, d_max=-1)
+
     def test_rank_monotone_in_sites(self):
         sites = [Site(regular(2)) for _ in range(4)]
         prev = 0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from limitseries.errors import (BoundaryWarning, CapExceeded,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
+from limitseries.linalg import (kernel_mod_p, kernel_over_fpt, padd, pmul,
+                                pnorm, rank_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, boundary_columns,
                                    chain_context, closed_form_residual,
@@ -278,19 +280,66 @@ class TestFlatLimit:
         fam = [mono(c, (i,), te=(i + shift) % 3) for i in range(4)]
         assert flat_limit(fam, c).dimension() == 4
 
-    def test_precision_exceeded_and_retry_threshold(self):
-        from limitseries.errors import PrecisionExceeded
+    def test_dependent_family_terminates(self):
+        # (1-t)x then x: reduction alone never makes the second vanish
+        c = RingContext(dim=1, prime=P, t_trunc=None, x_cap=2)
+        f = mono(c, (1,)) - mono(c, (1,), te=1)
+        assert flat_limit([f, mono(c, (1,))], c).dimension() == 1
 
-        def run(T):
-            c = RingContext(dim=2, prime=P, t_trunc=T, x_cap=2)
-            f = mono(c, (1, 0)) + mono(c, (0, 1), te=1)
-            g = mono(c, (1, 0), te=1)
-            return flat_limit([f, g], c)
+    def test_truncated_context_refused(self):
+        c = RingContext(dim=2, prime=P, t_trunc=3, x_cap=2)
+        f = mono(c, (1, 0)) + mono(c, (0, 1), te=1)
+        with pytest.raises(ValueError):
+            flat_limit([f, mono(c, (1, 0), te=1)], c)
 
-        for T in (1, 2):
-            with pytest.raises(PrecisionExceeded):
-                run(T)
-        assert run(3).dimension() == 2  # enough digits to eliminate
+    def test_dependent_corpus_agrees_with_kernel_route(self):
+        """Families with planted F_p(t)-dependencies: the flat limit has the
+        generic rank, and the annihilator of the row limit is the flat limit
+        of the F_p(t) kernel (the route the row limit replaces)."""
+        p = 2**61 - 1
+        rng = random.Random(20041)
+        c = RingContext(dim=2, prime=p, t_trunc=None, x_cap=2)
+        fib = c.with_t(1)
+
+        def poly(deg):
+            if rng.random() < 0.3:
+                return []
+            shift = rng.choice((0, 0, 1, 2))
+            return pnorm([0] * shift + [rng.randrange(p)
+                                        for _ in range(deg + 1)], p)
+
+        def at(q, t):
+            return sum(v * pow(t, e, p) for e, v in enumerate(q)) % p
+
+        def family(rows):
+            return [{(mons[j], e): v for j, q in enumerate(row)
+                     for e, v in enumerate(q) if v} for row in rows]
+
+        for _ in range(300):
+            ncols = rng.randint(1, 6)
+            mons = [(i, s - i) for s in range(3) for i in range(s + 1)][:ncols]
+            rows = [[poly(rng.randint(0, 2)) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 3)):
+                planted = [[] for _ in range(ncols)]
+                for row in rows:
+                    q = poly(rng.randint(0, 2))
+                    planted = [padd(a, pmul(q, b, p), p)
+                               for a, b in zip(planted, row)]
+                rows.append(planted)
+            rng.shuffle(rows)
+            lim = flat_limit(family(rows), c)
+            generic = max(
+                rank_mod_p([[at(q, t) for q in row] for row in rows], p)
+                for t in (rng.randrange(p) for _ in range(3)))
+            assert lim.dimension() == generic
+            dense = [[row.get((m, 0), 0) for m in mons]
+                     for row in lim.rows.values()]
+            annihilator = MonomialSpace.from_elements(
+                fib, [{(m, 0): v for m, v in zip(mons, vec)}
+                      for vec in kernel_mod_p(dense, ncols, p)])
+            kernel = kernel_over_fpt(rows, ncols, p)
+            assert annihilator == flat_limit(family(kernel), c)
 
 
 class TestRowsLayout:
