@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
-input, 3 resource refusal (desk-scale limit hit without --force).
-Identical configuration and seed produce byte-identical output.
+input, 3 resource refusal (a conditions matrix beyond the desk-scale
+budget; only nagata takes --force to run it anyway).  Identical
+configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .errors import (DomainError, HypothesisFailed, LimitSeriesError,
-                     MonotonicityViolation, PrimeTooSmall, ResourceLimit)
+from .errors import (DomainError, HypothesisFailed, IdentityFailure,
+                     LimitSeriesError, MonotonicityViolation, PrimeTooSmall,
+                     ResourceLimit)
 from .horace import (LineSystemModel, OracleScene, SpecializationPlan,
                      apply_theorem, hypothesis_check, limit_inclusion_check,
                      nagata_certificate, validate_plan)
@@ -29,56 +30,25 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: LIMITSERIES_SEED, then 0)")
-    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    parser.add_argument("--prime2", type=int, default=None,
-                        help="second prime for a cross-check")
-    parser.add_argument("--x-cap", type=int, default=24,
-                        help="x-degree budget; computations needing more "
-                             "are refused without --force")
+def _add_output(parser):
     parser.add_argument("--json", action="store_true", dest="json_out")
-    parser.add_argument("--force", action="store_true")
     parser.add_argument("--output", default=None, help="write output to a file")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated command-line configuration."""
-
-    seed: int
-    prime: int
-    prime2: int | None
-    x_cap: int
-    json_out: bool
-    force: bool
-    output: str | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        seed = args.seed
-        if seed is None:
-            env = os.environ.get("LIMITSERIES_SEED")
-            seed = int(env) if env else 0
-        if not is_prime(args.prime):
-            raise ValueError(f"{args.prime} is not prime")
-        if args.prime >= 2**62:
-            raise ValueError("prime must be below 2^62")
-        if args.prime2 is not None and not is_prime(args.prime2):
-            raise ValueError(f"{args.prime2} is not prime")
-        if args.x_cap < 1:
-            raise ValueError("caps must be positive")
-        return cls(seed, args.prime, args.prime2, args.x_cap, args.json_out,
-                   args.force, args.output)
+def _add_seed(parser):
+    # argparse converts a string default with type, so a bad env value
+    # is refused like a bad --seed
+    parser.add_argument("--seed", type=int,
+                        default=os.environ.get("LIMITSERIES_SEED") or "0",
+                        help="RNG seed (fallback: LIMITSERIES_SEED, then 0)")
 
 
-def _config(args) -> RunConfig | None:
-    try:
-        return RunConfig.from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _check_primes(args) -> None:
+    for p in (args.prime, args.prime2):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    if args.prime >= 2**62:
+        raise ValueError("prime must be below 2^62")
 
 
 def _emit(args, text: str) -> None:
@@ -126,43 +96,34 @@ def _heights_csv(E: Staircase) -> str:
 
 
 def _cmd_staircase(args) -> int:
-    if _config(args) is None:
-        return EXIT_INVALID
-    try:
-        if args.op == "suppress":
-            E = _load_staircase(args)
-            out = E.suppress(args.t)
-            payload = {"op": "suppress", "t": args.t, "result": out.to_json()}
-            text = _heights_csv(out)
-        elif args.op == "slice":
-            E = _load_staircase(args)
-            out = E.slice(args.k)
-            payload = {"op": "slice", "k": args.k, "result": out.to_json(),
-                       "size": out.degree}
-            text = str(out.degree)
-        elif args.op == "collide":
-            if args.a is None or args.b is None:
-                raise ValueError("collide needs both --a and --b")
-            A = _parse_heights(args.a)
-            B = _parse_heights(args.b)
-            out = vertical_collision(A, B)
-            payload = {"op": "collide", "result": out.to_json()}
-            text = _heights_csv(out)
-        elif args.op == "check":
-            E = _load_staircase(args)
-            qr, m = is_quasi_regular(E)
-            payload = {"op": "check", "staircase": E.to_json(),
-                       "degree": E.degree, "quasi_regular": qr,
-                       "witness_m": m,
-                       "right_specialized": is_right_specialized(E)}
-            text = "\n".join(f"{k}: {v}" for k, v in payload.items()
-                             if k != "op")
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown staircase op {args.op}")
-    except (MonotonicityViolation, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.op == "suppress":
+        E = _load_staircase(args)
+        out = E.suppress(args.t)
+        payload = {"op": "suppress", "t": args.t, "result": out.to_json()}
+        text = _heights_csv(out)
+    elif args.op == "slice":
+        E = _load_staircase(args)
+        out = E.slice(args.k)
+        payload = {"op": "slice", "k": args.k, "result": out.to_json(),
+                   "size": out.degree}
+        text = str(out.degree)
+    elif args.op == "collide":
+        if args.a is None or args.b is None:
+            raise ValueError("collide needs both --a and --b")
+        A = _parse_heights(args.a)
+        B = _parse_heights(args.b)
+        out = vertical_collision(A, B)
+        payload = {"op": "collide", "result": out.to_json()}
+        text = _heights_csv(out)
+    else:  # check; argparse restricts the choices
+        E = _load_staircase(args)
+        qr, m = is_quasi_regular(E)
+        payload = {"op": "check", "staircase": E.to_json(),
+                   "degree": E.degree, "quasi_regular": qr,
+                   "witness_m": m,
+                   "right_specialized": is_right_specialized(E)}
+        text = "\n".join(f"{k}: {v}" for k, v in payload.items()
+                         if k != "op")
     _emit(args, _dump(payload) if args.json_out else text)
     return EXIT_OK
 
@@ -173,34 +134,27 @@ def _cmd_staircase(args) -> int:
 
 
 def _cmd_nagata(args) -> int:
-    cfg = _config(args)
-    if cfg is None:
-        return EXIT_INVALID
+    _check_primes(args)
     run_oracle = args.oracle or not args.certificate
-    payload = {"k": args.k, "m": args.m, "seed": cfg.seed, "prime": cfg.prime}
+    if not run_oracle and (args.d_max is not None or args.trials is not None):
+        raise ValueError("--d-max and --trials apply to the oracle table; "
+                         "add --oracle")
+    payload = {"k": args.k, "m": args.m, "seed": args.seed,
+               "prime": args.prime}
     ok = True
-    try:
-        if run_oracle:
-            report = verify_nagata_theorem(
-                args.k, args.m, d_max=args.d_max, trials=args.trials,
-                seed=cfg.seed, prime=cfg.prime, prime2=cfg.prime2,
-                force=cfg.force)
-            payload["oracle"] = report.to_json()
-            ok = ok and report.passed
-        if args.certificate:
-            cert = nagata_certificate(args.k, args.m, seed=cfg.seed,
-                                      prime=cfg.prime)
-            payload["certificate"] = cert
-            ok = ok and all(cert["identities"].values())
-    except ResourceLimit as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, DomainError, PrimeTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (HypothesisFailed, LimitSeriesError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    if run_oracle:
+        report = verify_nagata_theorem(
+            args.k, args.m, d_max=args.d_max,
+            trials=3 if args.trials is None else args.trials,
+            seed=args.seed, prime=args.prime, prime2=args.prime2,
+            force=args.force)
+        payload["oracle"] = report.to_json()
+        ok = ok and report.passed
+    if args.certificate:
+        cert = nagata_certificate(args.k, args.m, seed=args.seed,
+                                  prime=args.prime)
+        payload["certificate"] = cert
+        ok = ok and all(cert["identities"].values())
     if args.json_out:
         _emit(args, _dump(payload))
     else:
@@ -220,23 +174,54 @@ def _cmd_nagata(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value, minimum=None) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
+
+
+def _is_int_list(value, minimum) -> bool:
+    return isinstance(value, list) and all(_is_int(v, minimum) for v in value)
+
+
 def _load_plan_file(path):
+    """Read a plan file; one that breaks plan.schema.json raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    shapes = []
-    for entry in data["shapes"]:
-        if isinstance(entry, dict):
-            shapes.append(Staircase.from_json(entry))
-        else:
-            shapes.append(make_staircase(entry))
+
+    def need(ok, what):
+        if not ok:
+            raise ValueError(f"invalid plan file: it needs {what}")
+
+    need(isinstance(data, dict), "to be an object")
+    spec, sc = data.get("model"), data.get("scene", {})
+    need(isinstance(spec, dict) and isinstance(sc, dict),
+         "a model object, and a scene object if it has a scene")
+    need(isinstance(data.get("shapes"), list) and data["shapes"]
+         and all(isinstance(E, dict) or _is_int_list(E, 0)
+                 for E in data["shapes"]),
+         "shapes: a non-empty list of height lists or objects")
+    need(_is_int_list(data.get("speeds"), 1)
+         and _is_int_list(data.get("levels"), 1),
+         "speeds and levels: integers >= 1")
+    need(_is_int(spec.get("degree"), 0)
+         and _is_int_list(spec.get("line_base_degrees"), 0),
+         "model.degree and model.line_base_degrees: integers >= 0")
+    need(_is_int_list(sc.get("divisor_base", []), 1)
+         and _is_int_list(sc.get("ambient_base", []), 1)
+         and _is_int(sc.get("prime", DEFAULT_PRIME), 2)
+         and _is_int(sc.get("seed", 0)),
+         "scene multiplicities >= 1, scene.prime >= 2, scene.seed: integers")
+    try:
+        shapes = [Staircase.from_json(E) if isinstance(E, dict)
+                  else make_staircase(E) for E in data["shapes"]]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"invalid plan file: bad shape: {exc!r}") from exc
     plan = SpecializationPlan(StaircaseTuple(shapes),
                               tuple(data["speeds"]), tuple(data["levels"]))
-    model = LineSystemModel(degree=data["model"]["degree"],
-                            line_base_degrees=tuple(
-                                data["model"]["line_base_degrees"]))
+    model = LineSystemModel(degree=spec["degree"],
+                            line_base_degrees=tuple(spec["line_base_degrees"]))
     scene = None
     if "scene" in data:
-        sc = data["scene"]
         scene = OracleScene(divisor_base=tuple(sc.get("divisor_base", ())),
                             ambient_base=tuple(sc.get("ambient_base", ())),
                             prime=sc.get("prime", DEFAULT_PRIME),
@@ -245,48 +230,28 @@ def _load_plan_file(path):
 
 
 def _cmd_limit(args) -> int:
-    cfg = _config(args)
-    if cfg is None:
-        return EXIT_INVALID
-    try:
-        plan, model, scene = _load_plan_file(args.plan_file)
-    except (OSError, KeyError, ValueError, MonotonicityViolation,
-            json.JSONDecodeError) as exc:
-        print(f"invalid plan file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if model.degree > cfg.x_cap and not cfg.force:
-        print(f"resource refusal: degree {model.degree} exceeds --x-cap "
-              f"{cfg.x_cap}", file=sys.stderr)
-        return EXIT_RESOURCE
+    plan, model, scene = _load_plan_file(args.plan_file)
+    if args.verify_limit and scene is None:
+        raise ValueError("--verify-limit needs a scene in the plan file")
     findings = validate_plan(plan)
     payload = {"plan": plan.to_json(),
                "findings": [f.to_json() for f in findings]}
     mode = "oracle" if args.oracle else "degree-count"
     try:
-        verdicts = hypothesis_check(plan, model, mode=mode, scene=scene,
-                                    seed=cfg.seed)
-        payload["verdicts"] = verdicts
+        payload["verdicts"] = hypothesis_check(plan, model, mode=mode,
+                                               scene=scene, seed=args.seed)
         cert = apply_theorem(plan, model, mode=mode, scene=scene,
-                             allow_boundary=args.allow_boundary, seed=cfg.seed)
+                             allow_boundary=args.allow_boundary,
+                             seed=args.seed)
         payload["certificate"] = cert.to_json()
         if args.verify_limit:
-            if scene is None:
-                print("error: --verify-limit needs a scene in the plan file",
-                      file=sys.stderr)
-                return EXIT_INVALID
             contained, details = limit_inclusion_check(plan, model, scene,
-                                                       seed=cfg.seed)
+                                                       seed=args.seed)
             payload["limit_inclusion"] = details
             if not contained:
                 _report_limit(args, payload)
                 return EXIT_CHECK_FAILED
-    except ResourceLimit as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except PrimeTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (HypothesisFailed, LimitSeriesError) as exc:
+    except (HypothesisFailed, IdentityFailure) as exc:
         payload["error"] = str(exc)
         _report_limit(args, payload)
         print(f"check failed: {exc}", file=sys.stderr)
@@ -350,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slice index to take")
     sp.add_argument("--a", help="first staircase (collide)")
     sp.add_argument("--b", help="second staircase (collide)")
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_staircase)
 
     np = sub.add_parser("nagata", help="verify the k^2 fat-point statement")
@@ -361,8 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     np.add_argument("--certificate", action="store_true",
                     help="emit the replayable certificate chain")
     np.add_argument("--d-max", type=int, default=None)
-    np.add_argument("--trials", type=int, default=3)
-    _add_common(np)
+    np.add_argument("--trials", type=int, default=None,
+                    help="oracle trials per degree (default 3)")
+    _add_seed(np)
+    np.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    np.add_argument("--prime2", type=int, default=None,
+                    help="second prime for a cross-check")
+    np.add_argument("--force", action="store_true",
+                    help="run an oracle table beyond the desk-scale budget")
+    _add_output(np)
     np.set_defaults(func=_cmd_nagata)
 
     lp = sub.add_parser("limit", help="validate and apply a specialization plan")
@@ -372,15 +344,26 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--oracle", action="store_true",
                     help="check hypotheses by oracle instead of degree count")
     lp.add_argument("--allow-boundary", action="store_true")
-    _add_common(lp)
+    _add_seed(lp)
+    _add_output(lp)
     lp.set_defaults(func=_cmd_limit)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ResourceLimit as exc:
+        print(f"resource refusal: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ValueError, OSError, DomainError, MonotonicityViolation,
+            PrimeTooSmall) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except LimitSeriesError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,11 +46,12 @@ class IdentityFailure(LimitSeriesError):
 
 
 class ResourceLimit(LimitSeriesError):
-    """Requested computation exceeds desk-scale limits; pass force to override."""
+    """Requested computation exceeds desk-scale limits and is refused
+    before it starts."""
 
 
 class OracleResourceLimit(ResourceLimit):
-    """Oracle-mode check would exceed desk-scale limits."""
+    """A conditions matrix would exceed the desk-scale entries budget."""
 
 
 class HypothesisFailed(LimitSeriesError):

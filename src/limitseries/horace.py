@@ -15,17 +15,14 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
-                     OracleResourceLimit, PrimeTooSmall)
+                     PrimeTooSmall)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
-from .interp import Site, conditions_matrix, monomials_of_degree_at_most
+from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
+                     require_desk_scale)
 from .linalg import DEFAULT_PRIME, kernel_mod_p, rank_mod_p, require_prime
 from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
-
-MAX_LIMIT_DEGREE = 6
-MAX_SLIDING_SITES = 2
-
 
 # ---------------------------------------------------------------------------
 # plan and model types
@@ -252,6 +249,18 @@ class _Placed:
     ambient: list   # (multiplicity, (x, y))
 
 
+def _require_desk_scale(plan, model, scene):
+    """Refuse a plan and scene whose conditions matrices can exceed the
+    desk-scale budget.  Every matrix built for them has at most the scene's
+    fat-point cells plus the shapes' cells as rows and at most the sections
+    of the model degree as columns; the limit check's matrix has exactly
+    that size."""
+    cells = sum(fat_point_degree(M)
+                for M in scene.divisor_base + scene.ambient_base)
+    require_desk_scale(cells + plan.shapes.degree,
+                       ambient_sections(model.degree))
+
+
 def _materialize_scene(plan, scene, rng, p):
     need = (len(plan.shapes) + len(scene.divisor_base)
             + 2 * len(scene.ambient_base))
@@ -333,11 +342,10 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         return verdicts
     if scene is None:
         raise ValueError("oracle mode needs a scene")
+    _require_desk_scale(plan, model, scene)
     p = scene.prime
     require_prime(p)
     d = model.degree
-    if ambient_sections(d) > 80 or sum(E.degree for E in plan.shapes) > 40:
-        raise OracleResourceLimit("oracle-mode hypothesis check beyond desk scale")
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
     dims_with = [None] * plan.r
     dims_without = [None] * plan.r
@@ -408,6 +416,8 @@ def apply_theorem(plan: SpecializationPlan, model: LineSystemModel,
     in that case both the combinatorial and the algebraic residual are
     recorded.
     """
+    if scene is not None:
+        _require_desk_scale(plan, model, scene)
     findings = validate_plan(plan)
     errors = [f for f in findings if f.severity == "error"]
     if errors:
@@ -470,15 +480,10 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     substitute a corrupted residual claim (negative controls: one extra
     suppression must come with one extra divisor copy, otherwise the
     corrupted target only grows)."""
+    _require_desk_scale(plan, model, scene)
     d = model.degree
     p = scene.prime
     require_prime(p)
-    if d > MAX_LIMIT_DEGREE:
-        raise OracleResourceLimit(
-            f"limit check supports degree <= {MAX_LIMIT_DEGREE}")
-    if len(plan.shapes) > MAX_SLIDING_SITES:
-        raise OracleResourceLimit(
-            f"limit check supports <= {MAX_SLIDING_SITES} sliding sites")
     rng = random.Random(f"{seed}:{scene.seed}:limit")
     placed = _materialize_scene(plan, scene, rng, p)
     cols = monomials_of_degree_at_most(d)

@@ -14,13 +14,26 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import PrimeTooSmall, ResourceLimit
+from .errors import OracleResourceLimit, PrimeTooSmall
 from .hilbert import ambient_sections, fat_point_degree, virtual_hilbert
 from .linalg import DEFAULT_PRIME, rank_mod_p, require_prime
 from .staircase import Staircase, regular
 
-# refuse single condition matrices larger than this without force
+# the one budget for conditions-matrix work, in matrix entries.  Cost
+# follows the entry count (2-core VM, p = 1000003, Nagata plans through
+# limit_inclusion_check): 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s,
+# 88,200 12 s, 126,360 17 s, 243,040 52 s; the (6,3) oracle table, 70,200
+# entries, takes 17.6 s.
 DESK_MATRIX_BUDGET = 120_000
+
+
+def require_desk_scale(nrows: int, ncols: int, force: bool = False) -> None:
+    """Refuse an nrows x ncols conditions matrix beyond DESK_MATRIX_BUDGET
+    entries, before it is built, unless force is set."""
+    if nrows * ncols > DESK_MATRIX_BUDGET and not force:
+        raise OracleResourceLimit(
+            f"conditions matrix {nrows} x {ncols} = {nrows * ncols} entries "
+            f"exceeds the desk-scale budget of {DESK_MATRIX_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -260,11 +273,7 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     if d_max < 0:
         raise ValueError(f"d_max must be >= 0, got {d_max}")
     deg_z = k * k * fat_point_degree(m)
-    cost = deg_z * ambient_sections(d_max)
-    if cost > DESK_MATRIX_BUDGET and not force:
-        raise ResourceLimit(
-            f"conditions matrix {deg_z} x {ambient_sections(d_max)} exceeds "
-            f"the desk-scale budget; pass force=True to override")
+    require_desk_scale(deg_z, ambient_sections(d_max), force)
     report = NagataReport(k, m, d_max, trials, seed, prime, prime2)
     tables = []
     for p in [prime] + ([prime2] if prime2 else []):

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from limitseries.cli import main
+from limitseries.horace import build_nagata_plan
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "limitseries" / "schemas"
 
@@ -26,6 +27,34 @@ PLAN_OK = {
     "model": {"degree": 4, "line_base_degrees": [4, 2]},
     "scene": {"divisor_base": [2, 2], "prime": 1000003, "seed": 11},
 }
+
+
+def replaced(plan, section, **fields):
+    return dict(plan, **{section: dict(plan[section], **fields)})
+
+
+MALFORMED_SHORT_BASE = replaced(PLAN_OK, "model", line_base_degrees=[4])
+
+# plan files that break plan.schema.json
+MALFORMED = {
+    "top-level array": [PLAN_OK],
+    "model list": dict(PLAN_OK, model=[4]),
+    "scene list": dict(PLAN_OK, scene=[1]),
+    "speeds integer": dict(PLAN_OK, speeds=2),
+    "ambient_base nested": replaced(PLAN_OK, "scene", ambient_base=[[1]]),
+    "ambient_base negative": replaced(PLAN_OK, "scene", ambient_base=[-2]),
+    "divisor_base zero": replaced(PLAN_OK, "scene", divisor_base=[0]),
+    "prime string": replaced(PLAN_OK, "scene", prime="7"),
+    "seed float": replaced(PLAN_OK, "scene", seed=1.5),
+    "degree string": replaced(PLAN_OK, "model", degree="4"),
+    "degree float": replaced(PLAN_OK, "model", degree=4.5),
+    "degree negative": replaced(PLAN_OK, "model", degree=-1),
+    "shape without heights": dict(PLAN_OK, shapes=[{"dim": 2}]),
+    "no shapes": dict(PLAN_OK, shapes=[]),
+    "levels missing": {k: v for k, v in PLAN_OK.items() if k != "levels"},
+}
+
+MODES = [(), ("--verify-limit",), ("--oracle", "--verify-limit")]
 
 PLAN_GAP = {
     "shapes": [[2, 1], [2, 1]],
@@ -172,6 +201,8 @@ class TestNagataCommand:
         ("--k", "2", "--m", "1", "--d-max", "-1"),
         ("--k", "2", "--m", "1", "--prime", "3"),
         ("--k", "3", "--m", "2", "--certificate", "--prime", "5"),
+        ("--k", "4", "--m", "1", "--certificate", "--d-max", "3"),
+        ("--k", "4", "--m", "1", "--certificate", "--trials", "2"),
     ])
     def test_out_of_range_arguments_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "nagata", *argv)
@@ -243,14 +274,58 @@ class TestLimitCommand:
         assert exc.value.code == 2
         assert "--t-prec" in capsys.readouterr().err
 
-    def test_degree_beyond_x_cap_refused(self, tmp_path, capsys):
-        plan = dict(PLAN_OK)
-        plan["model"] = {"degree": 30, "line_base_degrees": [4, 2]}
+    def test_scene_beyond_budget_exit_3(self, tmp_path, capsys):
+        # the (6,4,1) Nagata plan: 360 cells x 351 sections of degree 25
+        plan, model = build_nagata_plan(6, 4, 1)
+        data = {"shapes": [E.to_json() for E in plan.shapes],
+                "speeds": list(plan.speeds), "levels": list(plan.levels),
+                "model": model.to_json(),
+                "scene": {"divisor_base": [4] * 6, "ambient_base": [4] * 25,
+                          "prime": 1000003, "seed": 1}}
+        jsonschema.validate(data, load_schema("plan.schema.json"))
         f = tmp_path / "plan.json"
-        f.write_text(json.dumps(plan))
-        code, _, err = run(capsys, "limit", str(f), "--x-cap", "24")
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "limit", str(f), "--oracle",
+                             "--verify-limit")
         assert code == 3
-        assert "refusal" in err
+        assert err.startswith("resource refusal: ") and "126360" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_malformed_plan_file_exit_2(self, tmp_path, capsys, name, mode):
+        data = MALFORMED[name]
+        assert not jsonschema.Draft7Validator(
+            load_schema("plan.schema.json")).is_valid(data)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "limit", str(f), *mode)
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_short_base_degrees_in_oracle_mode(self, tmp_path, capsys):
+        # oracle mode compares dimensions and never reads line_base_degrees
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(MALFORMED_SHORT_BASE))
+        code, _, err = run(capsys, "limit", str(f), "--oracle",
+                           "--verify-limit")
+        assert code == 0, err
+        code, _, err = run(capsys, "limit", str(f), "--verify-limit")
+        assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("limit", "plan.json", "--x-cap", "24"),
+        ("limit", "plan.json", "--prime", "5"),
+        ("limit", "plan.json", "--force"),
+        ("staircase", "check", "--heights", "3,2,1", "--prime", "5"),
+        ("staircase", "check", "--heights", "3,2,1", "--seed", "1"),
+    ])
+    def test_unread_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         f = tmp_path / "plan.json"

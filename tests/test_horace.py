@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from limitseries.errors import DomainError, HypothesisFailed
+from limitseries.errors import (DomainError, HypothesisFailed,
+                                OracleResourceLimit)
 from limitseries.horace import (LineSystemModel, OracleScene,
                                 SpecializationPlan, apply_theorem,
                                 build_nagata_plan, hypothesis_check,
@@ -14,6 +17,12 @@ P = 1000003
 
 def simple_plan(shapes, speeds, levels):
     return SpecializationPlan(StaircaseTuple(shapes), speeds, levels)
+
+
+def nagata_scene(k, m):
+    """k fat points of multiplicity m on the divisor, (k-1)^2 elsewhere."""
+    return OracleScene(divisor_base=(m,) * k, ambient_base=(m,) * (k - 1) ** 2,
+                       prime=P, seed=1)
 
 
 class TestValidatePlan:
@@ -235,19 +244,41 @@ class TestLimitInclusion:
         assert cert.residual[0].is_empty
         assert cert.dim_bound["oracle"] == 6
 
-    def test_degree_guard(self):
-        from limitseries.errors import OracleResourceLimit
-        plan = simple_plan([regular(1)], (1,), ())
-        model = LineSystemModel(degree=7, line_base_degrees=())
-        with pytest.raises(OracleResourceLimit):
-            limit_inclusion_check(plan, model, OracleScene(prime=P))
+    @pytest.mark.parametrize("kms,dims", [
+        ((4, 1, 1), (5, 5)), ((5, 1, 1), (3, 3)),
+        ((4, 2, 1), (7, 7)), ((6, 1, 2), (9, 9)),
+    ])
+    def test_real_nagata_plans_contained(self, kms, dims):
+        k, m, _ = kms
+        plan, model = build_nagata_plan(*kms)
+        ok, details = limit_inclusion_check(plan, model, nagata_scene(k, m),
+                                            seed=1)
+        assert ok
+        assert (details["dim_limit"], details["dim_target"]) == dims
 
-    def test_sliding_site_guard(self):
-        from limitseries.errors import OracleResourceLimit
-        plan = simple_plan([regular(1)] * 3, (1, 1, 1), ())
-        model = LineSystemModel(degree=4, line_base_degrees=())
-        with pytest.raises(OracleResourceLimit):
-            limit_inclusion_check(plan, model, OracleScene(prime=P))
+    def test_oracle_hypotheses_at_degree_12(self):
+        plan, model = build_nagata_plan(4, 3, 0)
+        assert model.degree == 12
+        verdicts = hypothesis_check(plan, model, mode="oracle",
+                                    scene=nagata_scene(4, 3), seed=1)
+        assert verdicts and all(v["ok"] for v in verdicts)
+
+    @pytest.mark.parametrize("check", [
+        lambda plan, model, scene: limit_inclusion_check(plan, model, scene),
+        lambda plan, model, scene: hypothesis_check(plan, model, mode="oracle",
+                                                    scene=scene),
+        lambda plan, model, scene: apply_theorem(plan, model, scene=scene),
+    ], ids=["limit_inclusion_check", "hypothesis_check", "apply_theorem"])
+    @pytest.mark.parametrize("kms,entries", [((6, 4, 1), 360 * 351),
+                                             ((7, 4, 1), 490 * 465)])
+    def test_beyond_budget_refused_in_advance(self, check, kms, entries):
+        # scene cells plus shape cells, times the sections of degree km+s
+        plan, model = build_nagata_plan(*kms)
+        scene = nagata_scene(*kms[:2])
+        start = time.perf_counter()
+        with pytest.raises(OracleResourceLimit, match=f"= {entries} entries"):
+            check(plan, model, scene)
+        assert time.perf_counter() - start < 0.01
 
     def test_corrupted_residual_fails(self):
         plan = simple_plan([regular(2)], (2,), (3, 1))

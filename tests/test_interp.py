@@ -1,8 +1,10 @@
 import pytest
 
-from limitseries.errors import PrimeTooSmall, ResourceLimit
-from limitseries.interp import (Site, SystemDescriptor, conditions_matrix,
-                                hilbert_function_of, system_dimension,
+from limitseries.errors import (OracleResourceLimit, PrimeTooSmall,
+                                ResourceLimit)
+from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
+                                conditions_matrix, hilbert_function_of,
+                                require_desk_scale, system_dimension,
                                 verify_nagata_theorem)
 from limitseries.linalg import rank_mod_p
 from limitseries.staircase import make_staircase, regular
@@ -146,6 +148,15 @@ class TestNagataOracle:
     def test_resource_refusal(self):
         with pytest.raises(ResourceLimit):
             verify_nagata_theorem(12, 9)
+
+    def test_desk_scale_budget(self):
+        # the (6,3) table, 216 x 325 = 70,200 entries, is admitted; (7,3),
+        # 294 x 435 = 127,890 entries, only with force
+        require_desk_scale(216, 325)
+        with pytest.raises(OracleResourceLimit):
+            require_desk_scale(294, 435)
+        require_desk_scale(294, 435, force=True)
+        assert 216 * 325 <= DESK_MATRIX_BUDGET < 294 * 435
 
     def test_negative_d_max_rejected(self):
         with pytest.raises(ValueError, match="d_max"):
