@@ -174,43 +174,48 @@ def _cmd_nagata(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_int(value, minimum=None) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and (minimum is None or value >= minimum))
-
-
-def _is_int_list(value, minimum) -> bool:
-    return isinstance(value, list) and all(_is_int(v, minimum) for v in value)
+def _schema_errors(value, schema, where="plan"):
+    """Yield where value breaks schema, read in the draft-07 subset that
+    plan.schema.json uses: type, minimum, minItems, required, properties,
+    items (one schema for every item) and oneOf."""
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(
+            value, {"object": dict, "array": list, "integer": int}[kind])):
+        yield f"{where} must be of type {kind}"
+        return
+    alts = schema.get("oneOf", ())
+    if alts and sum(not any(_schema_errors(value, a, where))
+                    for a in alts) != 1:
+        yield f"{where} must match exactly one of its forms"
+    if isinstance(value, int) and value < schema.get("minimum", value):
+        yield f"{where} must be >= {schema['minimum']}"
+    if isinstance(value, list) and len(value) < schema.get("minItems", 0):
+        yield f"{where} needs at least {schema['minItems']} items"
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        yield from _schema_errors(item, schema.get("items", {}),
+                                  f"{where}[{i}]")
+    if isinstance(value, dict):
+        yield from (f"{where} needs {key}"
+                    for key in schema.get("required", ()) if key not in value)
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, f"{where}.{key}")
 
 
 def _load_plan_file(path):
-    """Read a plan file; one that breaks plan.schema.json raises ValueError."""
+    """Read a plan file; one that breaks plan.schema.json raises ValueError.
+    A number with a zero fraction reads as an integer, as draft-07 counts
+    it."""
+    with open(os.path.join(os.path.dirname(__file__), "schemas",
+                           "plan.schema.json")) as fh:
+        schema = json.load(fh)
     with open(path) as fh:
-        data = json.load(fh)
-
-    def need(ok, what):
-        if not ok:
-            raise ValueError(f"invalid plan file: it needs {what}")
-
-    need(isinstance(data, dict), "to be an object")
-    spec, sc = data.get("model"), data.get("scene", {})
-    need(isinstance(spec, dict) and isinstance(sc, dict),
-         "a model object, and a scene object if it has a scene")
-    need(isinstance(data.get("shapes"), list) and data["shapes"]
-         and all(isinstance(E, dict) or _is_int_list(E, 0)
-                 for E in data["shapes"]),
-         "shapes: a non-empty list of height lists or objects")
-    need(_is_int_list(data.get("speeds"), 1)
-         and _is_int_list(data.get("levels"), 1),
-         "speeds and levels: integers >= 1")
-    need(_is_int(spec.get("degree"), 0)
-         and _is_int_list(spec.get("line_base_degrees"), 0),
-         "model.degree and model.line_base_degrees: integers >= 0")
-    need(_is_int_list(sc.get("divisor_base", []), 1)
-         and _is_int_list(sc.get("ambient_base", []), 1)
-         and _is_int(sc.get("prime", DEFAULT_PRIME), 2)
-         and _is_int(sc.get("seed", 0)),
-         "scene multiplicities >= 1, scene.prime >= 2, scene.seed: integers")
+        data = json.load(fh, parse_float=lambda text: int(float(text))
+                         if float(text).is_integer() else float(text))
+    problem = next(_schema_errors(data, schema), None)
+    if problem:
+        raise ValueError(f"invalid plan file: {problem}")
+    spec, sc = data["model"], data.get("scene", {})
     try:
         shapes = [Staircase.from_json(E) if isinstance(E, dict)
                   else make_staircase(E) for E in data["shapes"]]

@@ -58,9 +58,6 @@ class SpecializationPlan:
         n = self.levels[i - 1]
         return tuple(n // v for v in self.speeds)
 
-    def t_vectors(self):
-        return [self.t_vector(i) for i in range(1, self.r + 1)]
-
     def slice_sizes(self, i: int):
         ts = self.t_vector(i)
         return tuple(E.slice_size(t) for E, t in zip(self.shapes, ts))
@@ -250,15 +247,15 @@ class _Placed:
 
 
 def _require_desk_scale(plan, model, scene):
-    """Refuse a plan and scene whose conditions matrices can exceed the
-    desk-scale budget.  Every matrix built for them has at most the scene's
+    """Refuse a plan and scene whose matrices can exceed the desk-scale
+    budget.  Every conditions matrix built for them has at most the scene's
     fat-point cells plus the shapes' cells as rows and at most the sections
-    of the model degree as columns; the limit check's matrix has exactly
-    that size."""
+    of the model degree as columns.  The limit check also builds kernel
+    bases of up to one vector per column, so rows count at least columns."""
     cells = sum(fat_point_degree(M)
                 for M in scene.divisor_base + scene.ambient_base)
-    require_desk_scale(cells + plan.shapes.degree,
-                       ambient_sections(model.degree))
+    ncols = ambient_sections(model.degree)
+    require_desk_scale(max(cells + plan.shapes.degree, ncols), ncols)
 
 
 def _materialize_scene(plan, scene, rng, p):

@@ -20,10 +20,11 @@ from .linalg import DEFAULT_PRIME, rank_mod_p, require_prime
 from .staircase import Staircase, regular
 
 # the one budget for conditions-matrix work, in matrix entries.  Cost
-# follows the entry count (2-core VM, p = 1000003, Nagata plans through
-# limit_inclusion_check): 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s,
-# 88,200 12 s, 126,360 17 s, 243,040 52 s; the (6,3) oracle table, 70,200
-# entries, takes 17.6 s.
+# follows the entry count (2-core VM, p = 1000003, limit_inclusion_check):
+# Nagata plans 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s, 88,200
+# 12 s, 126,360 17 s, 243,040 52 s; a one-cell plan at degree 24 (325 x 325)
+# 0.1-21 s for 0-325 simple scene points; the (6,3) oracle table, 70,200
+# entries, 17.6 s.
 DESK_MATRIX_BUDGET = 120_000
 
 

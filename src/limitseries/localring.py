@@ -142,9 +142,6 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def x_degree(self):
-        return max((sum(a) for (a, _b) in self.terms), default=-1)
-
     def truncate_t(self, n_to):
         cur = self.ctx.t_trunc
         if cur is not None and n_to > cur:

@@ -274,22 +274,45 @@ class TestLimitCommand:
         assert exc.value.code == 2
         assert "--t-prec" in capsys.readouterr().err
 
-    def test_scene_beyond_budget_exit_3(self, tmp_path, capsys):
-        # the (6,4,1) Nagata plan: 360 cells x 351 sections of degree 25
-        plan, model = build_nagata_plan(6, 4, 1)
-        data = {"shapes": [E.to_json() for E in plan.shapes],
-                "speeds": list(plan.speeds), "levels": list(plan.levels),
-                "model": model.to_json(),
-                "scene": {"divisor_base": [4] * 6, "ambient_base": [4] * 25,
-                          "prime": 1000003, "seed": 1}}
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case,entries", [((6, 4, 1), 126360),
+                                              (300, 45451 * 45451)])
+    def test_scene_beyond_budget_exit_3(self, tmp_path, capsys, mode, case,
+                                        entries):
+        if isinstance(case, tuple):
+            # a Nagata plan: 360 cells x 351 sections of degree 25
+            plan, model = build_nagata_plan(*case)
+            data = {"shapes": [E.to_json() for E in plan.shapes],
+                    "speeds": list(plan.speeds),
+                    "levels": list(plan.levels), "model": model.to_json(),
+                    "scene": {"divisor_base": [4] * 6,
+                              "ambient_base": [4] * 25,
+                              "prime": 1000003, "seed": 1}}
+        else:
+            # one cell, no scene points: bounded by its kernel bases
+            data = {"shapes": [[1]], "speeds": [1], "levels": [],
+                    "model": {"degree": case, "line_base_degrees": []},
+                    "scene": {"prime": 1000003, "seed": 1}}
         jsonschema.validate(data, load_schema("plan.schema.json"))
         f = tmp_path / "plan.json"
         f.write_text(json.dumps(data))
-        code, out, err = run(capsys, "limit", str(f), "--oracle",
-                             "--verify-limit")
+        code, out, err = run(capsys, "limit", str(f), *mode)
         assert code == 3
-        assert err.startswith("resource refusal: ") and "126360" in err
+        assert err.startswith("resource refusal: ") and f"{entries}" in err
         assert out == ""
+
+    def test_integral_floats_read_as_integers(self, tmp_path, capsys):
+        # draft-07 counts 4.0 as an integer, so the plan file does too
+        floats = replaced(PLAN_OK, "model", degree=4.0)
+        floats = replaced(floats, "scene", seed=11.0, prime=1000003.0)
+        jsonschema.validate(floats, load_schema("plan.schema.json"))
+        outs = []
+        for data in (PLAN_OK, floats):
+            f = tmp_path / "plan.json"
+            f.write_text(json.dumps(data))
+            outs.append(run(capsys, "limit", str(f), "--oracle",
+                            "--verify-limit", "--json"))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     @pytest.mark.parametrize("mode", MODES)

@@ -20,11 +20,14 @@ import jsonschema
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limitseries.cli import main
+from limitseries.cli import _schema_errors, main
 from test_cli import PLAN_OK, load_schema
 
 SETTINGS = settings(max_examples=30, deadline=None)
 PLAN_SCHEMA = jsonschema.Draft7Validator(load_schema("plan.schema.json"))
+# the keywords the CLI's plan-file check reads
+SCHEMA_SUBSET = {"$schema", "title", "type", "minimum", "minItems",
+                 "required", "properties", "items", "oneOf"}
 
 small_ints = st.one_of(st.none(), st.integers(min_value=-2, max_value=4))
 height_strings = st.one_of(
@@ -167,3 +170,21 @@ def test_limit_plan_file(edits, mode):
         code = check_contract(["limit", path] + mode)
     if not PLAN_SCHEMA.is_valid(plan):
         assert code == 2, (plan, mode, code)
+    # the CLI checks the file's numbers (a zero fraction reads as an
+    # integer) against plan.schema.json itself, and agrees with jsonschema
+    read = json.loads(json.dumps(plan), parse_float=lambda text: int(
+        float(text)) if float(text).is_integer() else float(text))
+    assert (next(_schema_errors(read, PLAN_SCHEMA.schema), None) is None) \
+        == PLAN_SCHEMA.is_valid(plan), plan
+
+
+def test_plan_schema_uses_the_subset_the_cli_reads():
+    def keywords(schema):
+        yield from schema
+        for sub in schema.get("properties", {}).values():
+            yield from keywords(sub)
+        for sub in schema.get("oneOf", ()):
+            yield from keywords(sub)
+        if "items" in schema:
+            yield from keywords(schema["items"])
+    assert set(keywords(PLAN_SCHEMA.schema)) <= SCHEMA_SUBSET

@@ -269,12 +269,20 @@ class TestLimitInclusion:
                                                     scene=scene),
         lambda plan, model, scene: apply_theorem(plan, model, scene=scene),
     ], ids=["limit_inclusion_check", "hypothesis_check", "apply_theorem"])
-    @pytest.mark.parametrize("kms,entries", [((6, 4, 1), 360 * 351),
-                                             ((7, 4, 1), 490 * 465)])
-    def test_beyond_budget_refused_in_advance(self, check, kms, entries):
-        # scene cells plus shape cells, times the sections of degree km+s
-        plan, model = build_nagata_plan(*kms)
-        scene = nagata_scene(*kms[:2])
+    @pytest.mark.parametrize("case,entries", [
+        ((6, 4, 1), 360 * 351), ((7, 4, 1), 490 * 465),
+        (25, 351 * 351), (300, 45451 * 45451)])
+    def test_beyond_budget_refused_in_advance(self, check, case, entries):
+        if isinstance(case, tuple):
+            # scene cells plus shape cells, times the sections of degree km+s
+            plan, model = build_nagata_plan(*case)
+            scene = nagata_scene(*case[:2])
+        else:
+            # one cell, no scene points: the limit check's kernel bases
+            # still hold up to one vector per section of the degree
+            plan = simple_plan([make_staircase([1])], (1,), ())
+            model = LineSystemModel(degree=case, line_base_degrees=())
+            scene = OracleScene(prime=P, seed=1)
         start = time.perf_counter()
         with pytest.raises(OracleResourceLimit, match=f"= {entries} entries"):
             check(plan, model, scene)
