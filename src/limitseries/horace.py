@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
-                     PrimeTooSmall)
+                     OracleResourceLimit, PrimeTooSmall)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
-                     require_desk_scale)
+                     require_desk_scale, verify_nagata_theorem)
 from .linalg import DEFAULT_PRIME, kernel_mod_p, rank_mod_p, require_prime
 from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
@@ -529,8 +529,7 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
 
 
 def nagata_certificate(k: int, m: int, seed: int = 0,
-                       prime: int = DEFAULT_PRIME,
-                       oracle_base_max_m: int = 3) -> dict:
+                       prime: int = DEFAULT_PRIME) -> dict:
     """Replayable certificate chain k -> k-1 -> ... -> 3 for the statement
     that k^2 generic fat points of multiplicity m impose the virtually
     expected conditions.
@@ -540,7 +539,8 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
     identities, the hypothesis verdicts, the residual (both readings at
     boundary levels) and the codimension bookkeeping.  The base case
     (at most 9 equal fat points) is recorded as assumed-known, and is
-    replayed by the interpolation oracle when small enough.
+    replayed by the interpolation oracle whenever its conditions matrix is
+    within the desk-scale budget; a refusal is recorded with its reason.
     """
     if k < 2:
         raise DomainError("certificate needs k >= 2")
@@ -596,10 +596,12 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
     base = {"k": min(k, 3), "m": m, "status": "assumed-known",
             "note": ("unions of at most 9 equal fat points impose "
                      "independent conditions in every degree")}
-    if m <= oracle_base_max_m:
-        from .interp import verify_nagata_theorem
+    try:
         report = verify_nagata_theorem(min(k, 3), m, trials=2, seed=seed,
                                        prime=prime)
+    except OracleResourceLimit as exc:
+        base["oracle_replay"] = {"refused": str(exc)}
+    else:
         base["oracle_replay"] = {"pass": report.passed,
                                  "d_max": report.d_max}
     return {

@@ -3,6 +3,9 @@
 No floating point anywhere.  Matrices over F_p are lists of equal-length
 lists of ints in [0, p).  Polynomials in t over F_p are little-endian
 coefficient lists with no trailing zeros ([] is the zero polynomial).
+
+Every elimination over F_p is echelon_mod_p: rank, reduced echelon form,
+kernel, the sparse forms and each oracle trial's Hilbert function.
 """
 
 from __future__ import annotations
@@ -49,68 +52,54 @@ def require_prime(p: int) -> int:
 # dense matrices over F_p
 # ---------------------------------------------------------------------------
 
+def echelon_mod_p(rows, p):
+    """Row echelon form over F_p by forward elimination in column order:
+    (echelon_rows, pivot_columns).  Rows are not normalised, nothing above
+    a pivot is eliminated, zero rows are dropped and the input is not
+    mutated.  The pivots below column c count the rank of the first c
+    columns (the column rank profile)."""
+    rows = [[v % p for v in row] for row in rows if any(v % p for v in row)]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = pow(prow[col], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                f = f * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots
+
+
 def rref_mod_p(rows, p):
     """Reduced row echelon form over F_p.
 
     Returns (rref_rows, pivot_columns); input is not mutated.  The RREF of a
     span is unique, so equality of spans is equality of these outputs.
     """
-    rows = [[v % p for v in row] for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+    rows, pivots = echelon_mod_p(rows, p)
+    for r in range(len(rows) - 1, -1, -1):
+        col = pivots[r]
         inv = pow(rows[r][col], -1, p)
-        prow = [v * inv % p for v in rows[r]]
-        rows[r] = prow
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
+        prow = rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(r):
+            f = rows[i][col]
+            if f:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]], pivots
+    return rows, pivots
 
 
 def rank_mod_p(rows, p) -> int:
-    """Rank over F_p by plain Gaussian elimination (no normalization)."""
-    rows = [[v % p for v in row] for row in rows if any(v % p for v in row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                f = f * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over F_p: the number of pivots of the echelon form."""
+    return len(echelon_mod_p(rows, p)[1])
 
 
 def kernel_mod_p(rows, ncols, p):

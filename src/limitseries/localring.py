@@ -21,7 +21,7 @@ from math import comb
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
                      InvalidTruncation, PrimeTooSmall, ResourceLimit)
-from .linalg import DEFAULT_PRIME, is_prime
+from .linalg import DEFAULT_PRIME, is_prime, rref_mod_p
 from .staircase import Staircase
 
 # ---------------------------------------------------------------------------
@@ -479,39 +479,22 @@ def _colon_order_key(key):
 
 
 def _sparse_rref(rows_iter, p, order_key):
-    pivots: dict = {}
-    for row in rows_iter:
-        row = {k: c % p for k, c in row.items() if c % p}
-        while row:
-            lead = max(row, key=order_key)
-            if lead in pivots:
-                c = row[lead]
-                for k, v in pivots[lead].items():
-                    nv = (row.get(k, 0) - c * v) % p
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-            else:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {k: v * inv % p for k, v in row.items()}
-                break
-    # back-reduction, ascending so earlier rows are already reduced
-    for lead in sorted(pivots, key=order_key):
-        row = pivots[lead]
-        while True:
-            inner = [k for k in row if k != lead and k in pivots]
-            if not inner:
-                break
-            k = max(inner, key=order_key)
-            c = row[k]
-            for kk, v in pivots[k].items():
-                nv = (row.get(kk, 0) - c * v) % p
-                if nv:
-                    row[kk] = nv
-                elif kk in row:
-                    del row[kk]
-    return pivots
+    """Reduced echelon form of sparse rows, as {pivot key: row}.
+
+    Columns are the keys sorted by order_key, largest first, so a row's
+    pivot is its largest key."""
+    rows = list(rows_iter)
+    keys = sorted({k for row in rows for k in row}, key=order_key, reverse=True)
+    index = {k: i for i, k in enumerate(keys)}
+    dense = []
+    for row in rows:
+        vec = [0] * len(keys)
+        for k, c in row.items():
+            vec[index[k]] = c
+        dense.append(vec)
+    rref, pivots = rref_mod_p(dense, p)
+    return {keys[col]: {keys[j]: c for j, c in enumerate(row) if c}
+            for row, col in zip(rref, pivots)}
 
 
 # ---------------------------------------------------------------------------

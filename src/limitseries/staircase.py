@@ -15,6 +15,14 @@ from itertools import product
 from .errors import LengthMismatch, MonotonicityViolation
 
 
+def _json_int(value, what):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Staircase:
     """A finite staircase of N^d, d >= 1."""
 
@@ -162,14 +170,18 @@ class Staircase:
 
     @classmethod
     def from_json(cls, data) -> "Staircase":
+        """Read to_json's form.  A number with a zero fraction reads as an
+        integer, as draft-07 counts it; any other non-integral dim, key or
+        height raises ValueError."""
         if isinstance(data, str):
             data = json.loads(data)
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "dim")
         heights = {}
         for key, h in data["heights"]:
-            if isinstance(key, int):
+            if not isinstance(key, (list, tuple)):
                 key = (key,)
-            heights[tuple(key)] = h
+            key = tuple(_json_int(k, "height key") for k in key)
+            heights[key] = _json_int(h, "height")
         return cls(dim, heights)
 
     def to_text(self) -> str:

@@ -50,6 +50,10 @@ MALFORMED = {
     "degree float": replaced(PLAN_OK, "model", degree=4.5),
     "degree negative": replaced(PLAN_OK, "model", degree=-1),
     "shape without heights": dict(PLAN_OK, shapes=[{"dim": 2}]),
+    "shape height float": dict(PLAN_OK, shapes=[{"dim": 2,
+                                                 "heights": [[0, 2.7]]}]),
+    "shape dim float": dict(PLAN_OK, shapes=[{"dim": 2.5,
+                                              "heights": [[0, 2]]}]),
     "no shapes": dict(PLAN_OK, shapes=[]),
     "levels missing": {k: v for k, v in PLAN_OK.items() if k != "levels"},
 }
@@ -118,6 +122,30 @@ class TestStaircaseCommand:
         assert code == 0
         assert json.loads(out)["degree"] == 3
 
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "heights": [[0, 2.7], [1, 1]]}',
+        '{"dim": 2.9, "heights": [[0, 2], [1, 1]]}',
+        '{"dim": 2, "heights": [[0.5, 2], [1, 1]]}',
+        '{"dim": 2, "heights": [[0, "2"], [1, 1]]}',
+        '{"dim": 2, "heights": [[0, true], [1, 1]]}',
+    ])
+    def test_file_input_rejects_non_integers(self, tmp_path, capsys, text):
+        f = tmp_path / "st.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "staircase", "check", "--file", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be an integer" in err
+
+    def test_file_input_integral_floats(self, tmp_path, capsys):
+        outs = []
+        for text in ('{"dim": 2, "heights": [[0, 2], [1, 1]]}',
+                     '{"dim": 2.0, "heights": [[0, 2.0], [1.0, 1]]}'):
+            f = tmp_path / "st.json"
+            f.write_text(text)
+            outs.append(run(capsys, "staircase", "check", "--file", str(f),
+                            "--json"))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
     def test_file_input_rejects_non_monotone(self, tmp_path, capsys):
         f = tmp_path / "st.json"
         f.write_text('{"dim": 2, "heights": [[0, 1], [1, 2]]}')
@@ -165,6 +193,15 @@ class TestNagataCommand:
         payload = json.loads(out)
         jsonschema.validate(payload["certificate"],
                             load_schema("certificate.schema.json"))
+
+    def test_certificate_with_refused_replay_validates(self, capsys):
+        # the base case, 9 fat points of multiplicity 8, is beyond budget
+        code, out, _ = run(capsys, "nagata", "--k", "4", "--m", "8",
+                           "--certificate", "--seed", "1", "--json")
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        jsonschema.validate(cert, load_schema("certificate.schema.json"))
+        assert "refused" in cert["base_case"]["oracle_replay"]
 
     def test_resource_refusal_exit_3(self, capsys):
         code, _, err = run(capsys, "nagata", "--k", "12", "--m", "9",

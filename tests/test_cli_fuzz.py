@@ -155,6 +155,9 @@ def mutate(plan, path, value):
        mode=st.sampled_from([[], ["--verify-limit"],
                              ["--oracle", "--verify-limit"]]))
 @example(edits=[(("model", "degree"), "4")], mode=[])
+@example(edits=[(("shapes", 0), {"dim": 2, "heights": [[0, 2.7]]})], mode=[])
+@example(edits=[(("shapes", 0), {"dim": 2.0, "heights": [[0, 2.0]]})],
+         mode=["--oracle", "--verify-limit"])
 @example(edits=[(("scene", "divisor_base"), [0])], mode=["--verify-limit"])
 @example(edits=[(("model", "line_base_degrees"), [4])], mode=[])
 @example(edits=[(("model", "line_base_degrees"), [4])],

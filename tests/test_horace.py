@@ -308,6 +308,20 @@ class TestNagataCertificate:
         assert all(cert["identities"].values())
         assert cert["base_case"]["oracle_replay"]["pass"]
 
+    def test_base_case_replayed_beyond_m3(self):
+        cert = nagata_certificate(4, 4, seed=1)
+        assert cert["base_case"]["oracle_replay"] == {"pass": True,
+                                                      "d_max": 15}
+
+    def test_base_case_beyond_budget_recorded_as_refused(self):
+        # 9 fat points of multiplicity 8 in degree 27: 324 x 406 entries
+        start = time.perf_counter()
+        cert = nagata_certificate(4, 8, seed=1)
+        assert time.perf_counter() - start < 0.01
+        replay = cert["base_case"]["oracle_replay"]
+        assert list(replay) == ["refused"]
+        assert "324 x 406 = 131544 entries" in replay["refused"]
+
     def test_k5_m2_two_reductions(self):
         cert = nagata_certificate(5, 2, seed=1)
         assert sorted({p["k"] for p in cert["plans"]}) == [4, 5]

@@ -1,5 +1,6 @@
 import pytest
 
+from limitseries import interp
 from limitseries.errors import (OracleResourceLimit, PrimeTooSmall,
                                 ResourceLimit)
 from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
@@ -9,7 +10,7 @@ from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
 from limitseries.linalg import rank_mod_p
 from limitseries.staircase import make_staircase, regular
 
-from util import SECOND_PRIME
+from util import SECOND_PRIME, per_degree_oracle
 
 P = 1000003
 
@@ -174,3 +175,45 @@ class TestNagataOracle:
         rep = verify_nagata_theorem(2, 1, d_max=3, trials=2, seed=5)
         head = rep.to_csv().splitlines()[0]
         assert "seed=5" in head and "prime=" in head
+
+    @pytest.mark.parametrize("prime,prime2", [(2**61 - 1, 1000003),
+                                              (1000003, 2**61 - 1)])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("k,m", [(k, m) for k in (2, 3, 4)
+                                     for m in (1, 2)])
+    def test_table_agrees_with_per_degree_elimination(
+            self, monkeypatch, k, m, trials, prime, prime2):
+        seed = 10 * k + m
+        d_max = k * m + k
+        sites = [Site(regular(m)) for _ in range(k * k)]
+        want = per_degree_oracle(sites, d_max, trials, seed, prime)
+        want2 = per_degree_oracle(sites, d_max, trials, seed, prime2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return conditions_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "conditions_matrix", counted)
+        rep = verify_nagata_theorem(k, m, trials=trials, seed=seed,
+                                    prime=prime)
+        assert [row["oracle"] for row in rep.rows] == want
+        assert calls == [d_max] * trials
+        calls.clear()
+        rep2 = verify_nagata_theorem(k, m, trials=trials, seed=seed,
+                                     prime=prime, prime2=prime2)
+        assert calls == [d_max] * (2 * trials)
+        assert rep2.rows == rep.rows
+        assert rep2.cross_check_agrees == (want == want2)
+        assert rep2.passed == (rep.passed and want == want2)
+
+    @pytest.mark.parametrize("kwargs,error,match", [
+        ({"trials": 0}, ValueError, "trials"),
+        ({"d_max": -1}, ValueError, "d_max"),
+        ({"prime": 3}, PrimeTooSmall, "prime 3"),
+        ({"prime2": 5}, PrimeTooSmall, "prime 5"),
+        ({"prime": 91}, PrimeTooSmall, "not prime"),
+    ])
+    def test_invalid_tables_raise(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            verify_nagata_theorem(2, 2, **kwargs)

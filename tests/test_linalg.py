@@ -1,12 +1,17 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
 from limitseries.errors import PrimeTooSmall
-from limitseries.linalg import (DEFAULT_PRIME, is_prime, kernel_mod_p,
-                                kernel_over_fpt, padd, pmul, pnorm, psub,
-                                rank_mod_p, require_prime, rref_mod_p)
+from limitseries.linalg import (DEFAULT_PRIME, echelon_mod_p, is_prime,
+                                kernel_mod_p, kernel_over_fpt, padd, pmul,
+                                pnorm, psub, rank_mod_p, require_prime,
+                                rref_mod_p)
 from limitseries.localring import _sp_inv
+
+from util import (matrix_corpus, plain_kernel_mod_p, plain_rank_mod_p,
+                  plain_rref_mod_p)
 
 P = 10007
 
@@ -38,6 +43,30 @@ def test_rref_is_canonical():
     mixed = [[(2 * a + b) % P for a, b in zip(rows[0], rows[1])],
              rows[1], rows[2]]
     assert rref_mod_p(rows, P) == rref_mod_p(mixed, P)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003])
+def test_eliminator_agrees_with_plain_elimination(p):
+    for rows in matrix_corpus(11, p):
+        snapshot = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        rank = plain_rank_mod_p(rows, p)
+        assert rank_mod_p(rows, p) == rank
+        assert rref_mod_p(rows, p) == plain_rref_mod_p(rows, p)
+        assert kernel_mod_p(rows, ncols, p) == plain_kernel_mod_p(rows, ncols,
+                                                                  p)
+        assert rows == snapshot  # no routine mutates its input
+        echelon, pivots = echelon_mod_p(rows, p)
+        assert len(echelon) == len(pivots) == rank
+        for i, (row, col) in enumerate(zip(echelon, pivots)):
+            assert not any(row[:col]) and row[col]
+            assert all(below[col] == 0 for below in echelon[i + 1:])
+        assert plain_rref_mod_p(echelon, p) == plain_rref_mod_p(rows, p)
+        # the column rank profile: pivots below c count the rank of the
+        # first c columns
+        for c in range(ncols + 1):
+            assert bisect_left(pivots, c) == plain_rank_mod_p(
+                [row[:c] for row in rows], p)
 
 
 def test_kernel_mod_p():

@@ -2,12 +2,133 @@
 
 from __future__ import annotations
 
+import random
 from math import comb
 
+from limitseries.interp import _materialize, conditions_matrix
 from limitseries.localring import Element, FamilyIdeal, MonomialSpace, RingContext
 from limitseries.staircase import Staircase, make_staircase
 
 SECOND_PRIME = 2**31 - 1
+
+
+# ---------------------------------------------------------------------------
+# plain elimination: the reference the library's one eliminator must match
+# ---------------------------------------------------------------------------
+
+def plain_rref_mod_p(rows, p):
+    """Gauss-Jordan over F_p, each pivot normalised and cleared in every
+    other row at once: (rref_rows, pivot_columns)."""
+    rows = [[v % p for v in row] for row in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        prow = [v * inv % p for v in rows[r]]
+        rows[r] = prow
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return [row for row in rows[:r]], pivots
+
+
+def plain_rank_mod_p(rows, p) -> int:
+    """Rank over F_p by plain Gaussian elimination (no normalization)."""
+    rows = [[v % p for v in row] for row in rows if any(v % p for v in row)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                f = f * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def plain_kernel_mod_p(rows, ncols, p):
+    """Right kernel read off plain_rref_mod_p, one vector per free column."""
+    rref, pivots = plain_rref_mod_p(rows, p)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = (-rref[r][free]) % p
+        basis.append(vec)
+    return basis
+
+
+def matrix_corpus(seed, p, count=40):
+    """Seeded matrices over F_p: random, rank-deficient (a product of thin
+    factors), with zero rows, empty and one-column."""
+    rng = random.Random(seed)
+    out = [[], [[], []], [[0]], [[0], [0]], [[rng.randrange(1, p)]],
+           [[p], [2 * p + 1]]]
+    for n in range(count):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        kind = n % 3
+        if kind == 0:
+            rows = [[rng.randrange(p) for _ in range(ncols)]
+                    for _ in range(nrows)]
+        else:
+            inner = rng.randint(1, min(nrows, ncols))
+            left = [[rng.randrange(p) for _ in range(inner)]
+                    for _ in range(nrows)]
+            right = [[rng.randrange(p) for _ in range(ncols)]
+                     for _ in range(inner)]
+            rows = [[sum(a * right[j][c] for j, a in enumerate(lrow)) % p
+                     for c in range(ncols)] for lrow in left]
+        if kind == 2:
+            for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+                rows[i] = [0] * ncols
+        out.append(rows)
+    return out
+
+
+def per_degree_oracle(sites, d_max, trials, seed, p):
+    """The oracle column one degree at a time: for each d a fresh trial
+    sequence from seed, the degree-d conditions matrix and its plain rank,
+    maxed over trials."""
+    out = []
+    for d in range(d_max + 1):
+        rng = random.Random(seed)
+        out.append(max(
+            plain_rank_mod_p(conditions_matrix(_materialize(sites, rng, p),
+                                               d, p), p)
+            for _ in range(trials)))
+    return out
 
 
 def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
