@@ -216,11 +216,8 @@ def _load_plan_file(path):
     if problem:
         raise ValueError(f"invalid plan file: {problem}")
     spec, sc = data["model"], data.get("scene", {})
-    try:
-        shapes = [Staircase.from_json(E) if isinstance(E, dict)
-                  else make_staircase(E) for E in data["shapes"]]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"invalid plan file: bad shape: {exc!r}") from exc
+    shapes = [Staircase.from_json(E) if isinstance(E, dict)
+              else make_staircase(E) for E in data["shapes"]]
     plan = SpecializationPlan(StaircaseTuple(shapes),
                               tuple(data["speeds"]), tuple(data["levels"]))
     model = LineSystemModel(degree=spec["degree"],

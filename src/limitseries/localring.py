@@ -8,7 +8,9 @@ All ideals and modules in the chain are graded by the x_2..x_d exponent
 (truncation and colon-by-x_1 both preserve that multidegree), so spans are
 stored column by column: one canonical Howell-form module over F_p[t]/(t^n)
 in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
-(flat limits) use a plain reduced echelon form instead.
+(flat limits, spans of explicit elements) use a plain reduced echelon form
+instead.  A plain space is read-only: dimension, membership, basis and
+equality; truncation, colon and special fiber need the graded layout.
 """
 
 from __future__ import annotations
@@ -88,10 +90,6 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
 
     @classmethod
     def monomial(cls, ctx, xexps, texp=0, coeff=1):
@@ -212,6 +210,25 @@ def _sp_inv(u, n, p):
     return {e: c for e, c in out.items() if c}
 
 
+def _add_mul(row, other, q, n, p):
+    """row += q(t) * other in place, dropping t^n and beyond.
+
+    Rows are {(coord, t_exp): coeff} and q is {t_exp: coeff}; every Howell
+    step (normalisation, cancellation, shadow, back-reduction, membership,
+    expansion to an F_p-basis) is this one update."""
+    for (j, te), c in other.items():
+        for qe, qc in q.items():
+            te2 = te + qe
+            if te2 < n:
+                k = (j, te2)
+                v = (row.get(k, 0) + c * qc) % p
+                if v:
+                    row[k] = v
+                elif k in row:
+                    del row[k]
+    return row
+
+
 class TModule:
     """Canonical Howell-form module over F_p[t]/(t^n) in x_1 coordinates.
 
@@ -219,7 +236,8 @@ class TModule:
     row's pivot (its lowest nonzero coordinate) carries the exact entry
     t^val, pivots are distinct and increasing, and entries of other rows at
     a pivot coordinate are reduced below that pivot's valuation.  The form
-    is unique for a given module, so equality is row equality.
+    is unique for a given module, so equality is row equality.  Every row
+    operation is the shared update ``_add_mul`` (row += q(t) * other).
     """
 
     __slots__ = ("p", "n", "ncoords", "rows", "pivots", "vals")
@@ -237,7 +255,7 @@ class TModule:
     @classmethod
     def from_rows(cls, p, n, ncoords, gen_rows):
         """Canonicalize arbitrary generating rows (Howell algorithm)."""
-        slots: list = [None] * ncoords
+        slots: list = [None] * ncoords  # pivot coordinate -> (row, val)
         pending = []
         for row in gen_rows:
             r = {k: c % p for k, c in row.items()
@@ -245,124 +263,48 @@ class TModule:
             if r:
                 pending.append(r)
 
-        def pivot_of(row):
-            j = min(k[0] for k in row)
-            e = min(k[1] for k in row if k[0] == j)
-            return j, e
-
-        def normalize(row, j, e):
-            unit = {k[1] - e: c for k, c in row.items() if k[0] == j}
-            if unit == {0: 1}:
-                return row
-            inv = _sp_inv(unit, n, p)
-            out: dict = {}
-            for (jj, te), c in row.items():
-                for ie, ic in inv.items():
-                    te2 = te + ie
-                    if te2 >= n:
-                        continue
-                    k2 = (jj, te2)
-                    v = (out.get(k2, 0) + c * ic) % p
-                    if v:
-                        out[k2] = v
-                    elif k2 in out:
-                        del out[k2]
-            # coordinate j is exactly t^e now; enforce against roundoff of
-            # the modular series inverse
-            for k in [k for k in out if k[0] == j]:
-                del out[k]
-            out[(j, e)] = 1
-            return out
-
-        def subtract_shifted(row, other, shift, factor=1):
-            for (jj, te), c in other.items():
-                te2 = te + shift
-                if te2 >= n:
-                    continue
-                k2 = (jj, te2)
-                v = (row.get(k2, 0) - factor * c) % p
-                if v:
-                    row[k2] = v
-                elif k2 in row:
-                    del row[k2]
-            return row
-
-        def shadow(row, e):
-            # t^(n-e) * row, nonzero tail of the annihilator multiple
-            sh = {}
-            for (jj, te), c in row.items():
-                te2 = te + n - e
-                if te2 < n:
-                    sh[(jj, te2)] = c
-            return sh
-
         while pending:
             row = pending.pop()
-            if not row:
-                continue
-            j, e = pivot_of(row)
-            row = normalize(row, j, e)
-            cur = slots[j]
-            if cur is None:
-                slots[j] = row
+            j = min(k[0] for k in row)
+            e = min(k[1] for k in row if k[0] == j)
+            unit = {k[1] - e: c for k, c in row.items() if k[0] == j}
+            if unit != {0: 1}:
+                # coordinate j becomes exactly t^e: unit * unit^-1 = 1 mod t^n
+                row = _add_mul({}, row, _sp_inv(unit, n, p), n, p)
+            if slots[j] is None or e < slots[j][1]:
+                old = slots[j]
+                slots[j] = (row, e)
                 if e > 0:
-                    sh = shadow(row, e)
+                    # t^(n-e) * row, nonzero tail of the annihilator multiple
+                    sh = _add_mul({}, row, {n - e: 1}, n, p)
                     if sh:
                         pending.append(sh)
-                continue
-            je, ee = pivot_of(cur)
-            if e < ee:
-                slots[j] = row
-                if e > 0:
-                    sh = shadow(row, e)
-                    if sh:
-                        pending.append(sh)
-                row, e = cur, ee
+                if old is None:
+                    continue
+                row, e = old
             # slot pivot val <= e: cancel coordinate j of row exactly
-            srow = slots[j]
-            se = pivot_of(srow)[1]
-            row = dict(row)
-            row = subtract_shifted(row, srow, e - se)
+            srow, se = slots[j]
+            _add_mul(row, srow, {e - se: p - 1}, n, p)
             if row:
                 pending.append(row)
 
-        rows = [slots[j] for j in range(ncoords) if slots[j] is not None]
-        pivots = []
-        vals = []
-        for r in rows:
-            j, e = pivot_of(r)
-            pivots.append(j)
-            vals.append(e)
+        kept = [(j, s) for j, s in enumerate(slots) if s is not None]
+        pivots = [j for j, _s in kept]
+        rows = [r for _j, (r, _e) in kept]
+        vals = [e for _j, (_r, e) in kept]
         # back-reduction: entries at later pivots reduced below their val
         for i, r in enumerate(rows):
-            for s_idx in range(i + 1, len(rows)):
-                js, es = pivots[s_idx], vals[s_idx]
-                q = {te - es: c for (jj, te), c in r.items()
+            for js, es, srow in zip(pivots[i + 1:], vals[i + 1:], rows[i + 1:]):
+                q = {te - es: -c for (jj, te), c in r.items()
                      if jj == js and te >= es}
-                if not q:
-                    continue
-                srow = rows[s_idx]
-                for (jj, te), c in srow.items():
-                    for qe, qc in q.items():
-                        te2 = te + qe
-                        if te2 >= n:
-                            continue
-                        k2 = (jj, te2)
-                        v = (r.get(k2, 0) - c * qc) % p
-                        if v:
-                            r[k2] = v
-                        elif k2 in r:
-                            del r[k2]
+                if q:
+                    _add_mul(r, srow, q, n, p)
         return cls(p, n, ncoords, rows, pivots, vals)
 
     @classmethod
     def full(cls, p, n, ncoords):
         rows = [{(j, 0): 1} for j in range(ncoords)]
         return cls(p, n, ncoords, rows, list(range(ncoords)), [0] * ncoords)
-
-    @classmethod
-    def zero(cls, p, n, ncoords):
-        return cls(p, n, ncoords, [], [], [])
 
     # -- queries ---------------------------------------------------------------
 
@@ -386,30 +328,17 @@ class TModule:
     def contains_vector(self, vec: dict) -> bool:
         p, n = self.p, self.n
         v = {k: c % p for k, c in vec.items() if c % p and k[1] < n}
-        by_pivot = {j: i for i, j in enumerate(self.pivots)}
+        by_pivot = dict(zip(self.pivots, zip(self.vals, self.rows)))
         for j in range(self.ncoords):
             entries = {te: c for (jj, te), c in v.items() if jj == j}
             if not entries:
                 continue
-            i = by_pivot.get(j)
-            if i is None:
+            if j not in by_pivot:
                 return False
-            e = self.vals[i]
+            e, row = by_pivot[j]
             if min(entries) < e:
                 return False
-            q = {te - e: c for te, c in entries.items()}
-            row = self.rows[i]
-            for (jj, te), c in row.items():
-                for qe, qc in q.items():
-                    te2 = te + qe
-                    if te2 >= n:
-                        continue
-                    k2 = (jj, te2)
-                    nv = (v.get(k2, 0) - c * qc) % p
-                    if nv:
-                        v[k2] = nv
-                    elif k2 in v:
-                        del v[k2]
+            _add_mul(v, row, {te - e: -c for te, c in entries.items()}, n, p)
         return not v
 
     # -- operations --------------------------------------------------------------
@@ -449,16 +378,8 @@ class TModule:
 
     def expand_rows(self):
         """An F_p-basis of the module: t^b * row for 0 <= b < n - val."""
-        out = []
-        for r, v in zip(self.rows, self.vals):
-            for b in range(self.n - v):
-                row = {}
-                for (jj, te), c in r.items():
-                    if te + b < self.n:
-                        row[(jj, te + b)] = c
-                if row:
-                    out.append(row)
-        return out
+        return [_add_mul({}, r, {b: 1}, self.n, self.p)
+                for r, v in zip(self.rows, self.vals) for b in range(self.n - v)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +393,13 @@ def _order_key(key):
     return (sum(a), tuple(-x for x in reversed(a)), -te)
 
 
-def _colon_order_key(key):
-    """Same order, but x_1-free monomials dominate (colon pivot priority)."""
-    a, _te = key
-    return (1 if a[0] == 0 else 0,) + _order_key(key)
-
-
-def _sparse_rref(rows_iter, p, order_key):
+def _sparse_rref(rows_iter, p):
     """Reduced echelon form of sparse rows, as {pivot key: row}.
 
-    Columns are the keys sorted by order_key, largest first, so a row's
-    pivot is its largest key."""
+    Columns are the keys sorted by _order_key, largest first, so a row's
+    pivot is its largest key and the rows come in that order."""
     rows = list(rows_iter)
-    keys = sorted({k for row in rows for k in row}, key=order_key, reverse=True)
+    keys = sorted({k for row in rows for k in row}, key=_order_key, reverse=True)
     index = {k: i for i, k in enumerate(keys)}
     dense = []
     for row in rows:
@@ -508,6 +423,9 @@ class MonomialSpace:
     Internally either a graded layout (one TModule per x_2..x_d exponent,
     used by everything chain-shaped) or a plain sparse reduced echelon form
     over the monomial basis.  Both are canonical for the span they hold.
+    A plain space (the result of ``flat_limit`` and ``from_elements``) is
+    read-only: it answers dimension, membership, basis and equality, and
+    ``truncate``, ``colon_x1`` and ``special_fiber`` raise TypeError on it.
     """
 
     __slots__ = ("ctx", "columns", "rows")
@@ -529,7 +447,7 @@ class MonomialSpace:
                 rows.append(el.terms)
             else:
                 rows.append(el)
-        return cls(ctx, rows=_sparse_rref(rows, ctx.prime, _order_key))
+        return cls(ctx, rows=_sparse_rref(rows, ctx.prime))
 
     @classmethod
     def from_columns(cls, ctx, columns):
@@ -546,20 +464,9 @@ class MonomialSpace:
         terms = el.terms if isinstance(el, Element) else dict(el)
         p = self.ctx.prime
         if self.rows is not None:
-            row = {k: c % p for k, c in terms.items() if c % p}
-            while row:
-                lead = max(row, key=_order_key)
-                prow = self.rows.get(lead)
-                if prow is None:
-                    return False
-                c = row[lead]
-                for k, v in prow.items():
-                    nv = (row.get(k, 0) - c * v) % p
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-            return True
+            # in the span iff adding it leaves the number of rows unchanged
+            grown = _sparse_rref([*self.rows.values(), terms], p)
+            return len(grown) == len(self.rows)
         split: dict = {}
         for (a, te), c in terms.items():
             if c % p == 0:
@@ -576,11 +483,9 @@ class MonomialSpace:
 
     def basis(self):
         """Basis as Elements (expands a graded layout)."""
-        out = []
         if self.rows is not None:
-            for lead in sorted(self.rows, key=_order_key, reverse=True):
-                out.append(Element(self.ctx, self.rows[lead]))
-            return out
+            return [Element(self.ctx, row) for row in self.rows.values()]
+        out = []
         for w in sorted(self.columns):
             for row in self.columns[w].expand_rows():
                 out.append(Element(
@@ -619,54 +524,42 @@ class MonomialSpace:
     def __hash__(self):
         raise TypeError("MonomialSpace is unhashable")
 
-    # -- operations -----------------------------------------------------------------
+    # -- operations (graded layout only) ---------------------------------------------
+
+    def _graded_columns(self, op):
+        if self.columns is None:
+            raise TypeError(f"{op} needs a graded space; a plain space is "
+                            "read-only (dimension, membership, basis, equality)")
+        return self.columns
 
     def truncate(self, n_to):
+        columns = self._graded_columns("truncate")
         cur = self.ctx.t_trunc
         if cur is not None and n_to > cur:
             raise InvalidTruncation(f"cannot truncate from t^{cur} to t^{n_to}")
-        ctx = self.ctx.with_t(n_to)
-        if self.columns is not None:
-            return MonomialSpace.from_columns(
-                ctx, {w: m.truncate(n_to) for w, m in self.columns.items()})
-        rows = [{k: c for k, c in row.items() if k[1] < n_to}
-                for row in self.rows.values()]
-        return MonomialSpace(ctx, rows=_sparse_rref(rows, ctx.prime, _order_key))
+        return MonomialSpace.from_columns(
+            self.ctx.with_t(n_to),
+            {w: m.truncate(n_to) for w, m in columns.items()})
 
     def colon_x1(self):
         """{f : x_1 f in span}; the x-cap drops by one."""
+        columns = self._graded_columns("colon_x1")
         if self.ctx.x_cap < 1:
             raise CapExhausted("x_cap already exhausted")
-        ctx = self.ctx.with_cap(self.ctx.x_cap - 1)
-        if self.columns is not None:
-            cols = {}
-            for w, m in self.columns.items():
-                if m.ncoords <= 1:
-                    continue
-                cols[w] = m.colon()
-            return MonomialSpace.from_columns(ctx, cols)
-        reduced = _sparse_rref(
-            [dict(r) for r in self.rows.values()], self.ctx.prime, _colon_order_key)
-        kept = []
-        for lead, row in reduced.items():
-            if lead[0][0] >= 1:
-                kept.append({((a[0] - 1,) + tuple(a[1:]), te): c
-                             for (a, te), c in row.items()})
-        return MonomialSpace(ctx, rows=_sparse_rref(kept, ctx.prime, _order_key))
+        return MonomialSpace.from_columns(
+            self.ctx.with_cap(self.ctx.x_cap - 1),
+            {w: m.colon() for w, m in columns.items() if m.ncoords > 1})
 
     def special_fiber(self):
         """Image at t=0, a space over F_p[x]."""
+        columns = self._graded_columns("special_fiber")
         ctx = self.ctx.with_t(1)
-        if self.columns is not None:
-            cols = {}
-            for w, m in self.columns.items():
-                rows = [{(j, 0): c for j, c in enumerate(vec) if c}
-                        for vec in m.fiber_rows()]
-                cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords, rows)
-            return MonomialSpace.from_columns(ctx, cols)
-        rows = [{k: c for k, c in row.items() if k[1] == 0}
-                for row in self.rows.values()]
-        return MonomialSpace(ctx, rows=_sparse_rref(rows, ctx.prime, _order_key))
+        cols = {}
+        for w, m in columns.items():
+            rows = [{(j, 0): c for j, c in enumerate(vec) if c}
+                    for vec in m.fiber_rows()]
+            cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords, rows)
+        return MonomialSpace.from_columns(ctx, cols)
 
     def __repr__(self):
         kind = "graded" if self.columns is not None else "plain"
@@ -1041,4 +934,4 @@ def flat_limit(family, ctx: RingContext) -> MonomialSpace:
     limit_rows = [{(a, 0): poly[0] for a, poly in bvec.items() if poly.get(0)}
                   for _pivot, bvec in basis]
     out_ctx = ctx.with_t(1)
-    return MonomialSpace(out_ctx, rows=_sparse_rref(limit_rows, p, _order_key))
+    return MonomialSpace(out_ctx, rows=_sparse_rref(limit_rows, p))

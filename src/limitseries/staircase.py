@@ -171,13 +171,25 @@ class Staircase:
     @classmethod
     def from_json(cls, data) -> "Staircase":
         """Read to_json's form.  A number with a zero fraction reads as an
-        integer, as draft-07 counts it; any other non-integral dim, key or
-        height raises ValueError."""
+        integer, as draft-07 counts it; a missing or malformed field and any
+        other non-integral dim, key or height raise ValueError naming it."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"staircase must be an object, got {data!r}")
+        for field in ("dim", "heights"):
+            if field not in data:
+                raise ValueError(f"staircase needs a {field!r} field")
         dim = _json_int(data["dim"], "dim")
+        if not isinstance(data["heights"], (list, tuple)):
+            raise ValueError("heights must be a list of [key, height] pairs, "
+                             f"got {data['heights']!r}")
         heights = {}
-        for key, h in data["heights"]:
+        for pair in data["heights"]:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(
+                    f"heights entry must be a [key, height] pair, got {pair!r}")
+            key, h = pair
             if not isinstance(key, (list, tuple)):
                 key = (key,)
             key = tuple(_json_int(k, "height key") for k in key)

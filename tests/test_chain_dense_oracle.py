@@ -126,6 +126,7 @@ INSTANCES = [
     (regular(2), 2, [5, 3]),              # d=2, two levels
     (make_staircase([2, 1]), 3, [4]),
     (Staircase(3, {(0, 0): 2, (1, 0): 1, (0, 1): 1}), 1, [2]),  # d=3
+    (regular(2), 1, [3, 2]),              # d=2 double point, two levels
 ]
 
 

@@ -136,6 +136,20 @@ class TestStaircaseCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "must be an integer" in err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"dim": 2}', "heights"),
+        ('{"heights": []}', "dim"),
+        ('{"dim": 2, "heights": 5}', "heights"),
+        ('{"dim": 2, "heights": [5]}', "heights"),
+    ])
+    def test_file_input_rejects_malformed_fields(self, tmp_path, capsys,
+                                                 text, field):
+        f = tmp_path / "st.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "staircase", "check", "--file", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_file_input_integral_floats(self, tmp_path, capsys):
         outs = []
         for text in ('{"dim": 2, "heights": [[0, 2], [1, 1]]}',

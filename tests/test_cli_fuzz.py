@@ -1,11 +1,12 @@
 """Fuzz the command line over small, negative and missing arguments and
-over malformed plan files.
+over malformed plan and staircase files.
 
 Contract: the exit code is 0, 1, 2 or 3, no Python traceback reaches
 stderr, and the same argv prints the same stdout when it runs again.
 Invalid nagata input (k, m or trials below 1, a negative d_max, a prime
 not above a degree the run uses, or --d-max / --trials without the oracle
 table) exits 2, and so does a plan file that plan.schema.json rejects.
+A staircase file exits 0 or 2.
 """
 
 import contextlib
@@ -179,6 +180,41 @@ def test_limit_plan_file(edits, mode):
         float(text)) if float(text).is_integer() else float(text))
     assert (next(_schema_errors(read, PLAN_SCHEMA.schema), None) is None) \
         == PLAN_SCHEMA.is_valid(plan), plan
+
+
+STAIRCASE_OK = {"dim": 2, "heights": [[0, 3], [1, 2], [2, 1]]}
+STAIRCASE_PATHS = [(), ("dim",), ("heights",), ("heights", 0),
+                   ("heights", 0, 0), ("heights", 0, 1), ("heights", 2)]
+staircase_values = st.one_of(
+    st.just(MISSING), st.none(), st.booleans(),
+    st.integers(min_value=-2, max_value=4),
+    st.floats(min_value=-3, max_value=5),
+    st.sampled_from([float("inf"), float("nan"), 1e300, "", "2"]),
+    st.recursive(st.integers(min_value=-1, max_value=3),
+                 lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                     st.sampled_from(["dim", "heights", "x"]), inner,
+                     max_size=2),
+                 max_leaves=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(STAIRCASE_PATHS),
+                                staircase_values), min_size=1, max_size=2))
+@example(edits=[(("heights",), MISSING)])
+@example(edits=[(("dim",), MISSING), (("heights",), [])])
+@example(edits=[(("heights",), 5)])
+@example(edits=[(("heights",), [5])])
+@example(edits=[(("heights", 0), [[0], 3, 1])])
+def test_staircase_file(edits):
+    data = copy.deepcopy(STAIRCASE_OK)
+    for path, value in edits:
+        data = mutate(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "staircase.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code = check_contract(["staircase", "check", "--file", path])
+    assert code in (0, 2), (data, code)
 
 
 def test_plan_schema_uses_the_subset_the_cli_reads():

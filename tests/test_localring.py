@@ -342,8 +342,65 @@ class TestFlatLimit:
             assert annihilator == flat_limit(family(kernel), c)
 
 
+class TestFlatLimitCanonical:
+    """The plain form of a flat limit depends on the span only, and plain
+    membership agrees with a dense rank test."""
+
+    MONS = [(i, s - i) for s in range(3) for i in range(s + 1)]
+
+    def _family(self, rng, c):
+        """Random vectors over F_p[t] plus planted F_p[t]-combinations."""
+        mons = rng.sample(self.MONS, rng.randint(1, 6))
+        fam = [Element(c, {(m, rng.randrange(3)): rng.randrange(1, P)
+                           for m in mons if rng.random() < 0.6})
+               for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 2)):
+            planted = Element(c, {})
+            for f in fam:
+                q = Element(c, {((0, 0), e): rng.randrange(P)
+                                for e in range(rng.randint(0, 2))})
+                planted = planted + q * f
+            fam.append(planted)
+        return fam
+
+    def test_order_and_unit_scaling_keep_the_rows(self):
+        rng = random.Random(31)
+        c = RingContext(dim=2, prime=P, t_trunc=None, x_cap=2)
+        for _ in range(200):
+            fam = self._family(rng, c)
+            moved = [f.scale(rng.randrange(1, P)) for f in fam]
+            rng.shuffle(moved)
+            assert flat_limit(moved, c).rows == flat_limit(fam, c).rows
+
+    def test_contains_matches_dense_rank(self):
+        rng = random.Random(37)
+        c = RingContext(dim=2, prime=P, t_trunc=None, x_cap=2)
+        fib = c.with_t(1)
+        seen = set()
+        for _ in range(200):
+            lim = flat_limit(self._family(rng, c), c)
+            rows = list(lim.rows.values())
+            dense = [[row.get((m, 0), 0) for m in self.MONS] for row in rows]
+            for _ in range(3):
+                vec = {}
+                for row in rows:
+                    s = rng.randrange(P)
+                    for k, v in row.items():
+                        vec[k] = (vec.get(k, 0) + s * v) % P
+                if rng.random() < 0.6:
+                    k = (rng.choice(self.MONS), 0)
+                    vec[k] = (vec.get(k, 0) + rng.randrange(1, P)) % P
+                member = rank_mod_p(
+                    dense + [[vec.get((m, 0), 0) for m in self.MONS]],
+                    P) == len(rows)
+                assert lim.contains(Element(fib, vec)) == member
+                seen.add(member)
+        assert seen == {True, False}
+
+
 class TestRowsLayout:
-    """The plain echelon layout must agree with the graded one."""
+    """The plain echelon layout must agree with the graded one, and it is
+    read-only."""
 
     def _pair(self):
         c = ctx2(t=3, cap=5)
@@ -356,17 +413,15 @@ class TestRowsLayout:
         assert rows.dimension() == graded.dimension()
         assert rows == graded and graded == rows
 
-    def test_colon_agrees(self):
+    @pytest.mark.parametrize("op", [lambda s: s.truncate(2),
+                                    MonomialSpace.colon_x1,
+                                    MonomialSpace.special_fiber],
+                             ids=["truncate", "colon_x1", "special_fiber"])
+    def test_operations_refused(self, op):
         graded, rows = self._pair()
-        assert rows.colon_x1() == graded.colon_x1()
-
-    def test_truncate_agrees(self):
-        graded, rows = self._pair()
-        assert rows.truncate(2) == graded.truncate(2)
-
-    def test_fiber_agrees(self):
-        graded, rows = self._pair()
-        assert rows.special_fiber() == graded.special_fiber()
+        op(graded)
+        with pytest.raises(TypeError, match="read-only"):
+            op(rows)
 
 
 class TestHowellModule:
@@ -424,3 +479,35 @@ class TestHowellModule:
                         key = (j, e + e0)
                         combo[key] = (combo.get(key, 0) + s * cv) % p
             assert mod.contains_vector(combo)
+
+    @pytest.mark.parametrize("p", [97, 2**61 - 1])
+    def test_membership_matches_dense_rank(self, p):
+        """Members and non-members alike, against the rank of the dense
+        F_p span over the (coord, t-exponent) basis."""
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(60):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [{(rng.randrange(m), rng.randrange(n)): rng.randrange(1, p)
+                     for _ in range(3)} for _ in range(rng.randint(1, 3))]
+            mod = TModule.from_rows(p, n, m, rows)
+            span = self._fp_span(rows, n, m, p)
+            for _ in range(4):
+                vec = {}
+                for row in rows:
+                    for e0 in range(n):
+                        s = rng.randrange(p)
+                        for (j, e), cv in row.items():
+                            if e + e0 < n:
+                                key = (j, e + e0)
+                                vec[key] = (vec.get(key, 0) + s * cv) % p
+                if rng.random() < 0.7:
+                    key = (rng.randrange(m), rng.randrange(n))
+                    vec[key] = (vec.get(key, 0) + rng.randrange(1, p)) % p
+                dense = [0] * (m * n)
+                for (j, e), cv in vec.items():
+                    dense[j * n + e] = cv
+                member = rank_mod_p(span + [dense], p) == len(span)
+                assert mod.contains_vector(vec) == member
+                seen.add(member)
+        assert seen == {True, False}

@@ -1,5 +1,7 @@
 """The runtime is pure stdlib: every module of the package imports only
-the standard library and the package itself."""
+the standard library and the package itself.  The F_p(t) kernel and its
+polynomial helpers are a test reference kept in linalg.py; no other
+module of the package names them."""
 
 import ast
 import sys
@@ -28,3 +30,25 @@ def test_runtime_imports_only_stdlib():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     assert [hit for path in modules for hit in foreign_imports(path)] == []
+
+
+FPT_REFERENCE = {"kernel_over_fpt", "pnorm", "padd", "psub", "pscale", "pmul",
+                 "pval", "pdiv_t"}
+
+
+def names_used(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[-1]
+
+
+def test_fpt_reference_stays_off_the_library_path():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "linalg.py")
+    assert modules
+    assert [f"{path.name}:{line}: {name}" for path in modules
+            for line, name in names_used(path) if name in FPT_REFERENCE] == []
