@@ -44,11 +44,13 @@ def _add_seed(parser):
 
 
 def _check_primes(args) -> None:
-    for p in (args.prime, args.prime2):
+    for flag, p in (("--prime", args.prime), ("--prime2", args.prime2)):
         if p is not None and not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    if args.prime >= 2**62:
-        raise ValueError("prime must be below 2^62")
+        if p is not None and p >= 2**62:
+            raise ValueError(f"{flag} must be below 2^62")
+    if args.prime2 == args.prime:
+        raise ValueError("--prime2 must differ from --prime")
 
 
 def _emit(args, text: str) -> None:
@@ -68,14 +70,14 @@ def _parse_heights(text: str) -> Staircase:
 
 
 def _load_staircase(args, attr="heights") -> Staircase:
-    """Inline heights, or a file in the text ("i:h" lines) or JSON format."""
+    """Inline heights, or a file: JSON if it opens with { or [, else "i:h"."""
     inline = getattr(args, attr, None)
     if inline:
         return _parse_heights(inline)
     if getattr(args, "file", None):
         with open(args.file) as fh:
             data = fh.read()
-        if data.lstrip().startswith("{"):
+        if data.lstrip().startswith(("{", "[")):
             return Staircase.from_json(data)
         return Staircase.from_text(data)
     raise ValueError(f"--{attr} or --file is required")

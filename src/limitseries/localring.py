@@ -11,6 +11,7 @@ in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
 (flat limits, spans of explicit elements) use a plain reduced echelon form
 instead.  A plain space is read-only: dimension, membership, basis and
 equality; truncation, colon and special fiber need the graded layout.
+Howell modules and flat limits share one row format and update, _add_mul.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _add_mul(row, other, q, n, p):
 
     Rows are {(coord, t_exp): coeff} and q is {t_exp: coeff}; every Howell
     step (normalisation, cancellation, shadow, back-reduction, membership,
-    expansion to an F_p-basis) is this one update."""
+    expansion to an F_p-basis) and every flat_limit step is this update."""
     for (j, te), c in other.items():
         for qe, qc in q.items():
             te2 = te + qe
@@ -866,10 +867,12 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
 def flat_limit(family, ctx: RingContext) -> MonomialSpace:
     """lim_{t->0} of the span of a family over F_p[t] (exact coefficients).
 
-    Gaussian elimination with t-adic valuation pivoting: vectors are divided
-    by their t-content, the t=0 layer is reduced, and cancellations are
-    pushed to higher t-order until the t=0 parts are independent.  Only
-    scalar multiples are subtracted, so t-degrees never grow.  The output
+    Gaussian elimination with t-adic valuation pivoting on TModule rows,
+    one coordinate per monomial in _order_key order (largest first, so a
+    pivot is the lowest coordinate at t^0): vectors are divided by their
+    t-content, the t=0 layer is reduced, and cancellations are pushed to
+    higher t-order until the t=0 parts are independent.  Every update is
+    _add_mul by an F_p-scalar, so t-degrees never grow.  The output
     dimension equals the rank of the family over F_p(t).
 
     A vector dependent over F_p(t) need not ever vanish ((1-t)x after x
@@ -886,52 +889,40 @@ def flat_limit(family, ctx: RingContext) -> MonomialSpace:
     if ctx.t_trunc is not None:
         raise ValueError("flat_limit needs exact coefficients (t_trunc=None)")
     p = ctx.prime
-    vectors = []
-    for el in family:
-        terms = el.terms if isinstance(el, Element) else dict(el)
-        vec = {}
-        for (a, te), c in terms.items():
-            if c % p:
-                vec.setdefault(a, {})[te] = c % p
-        vectors.append(vec)
-    span_dim = len({a for vec in vectors for a in vec})
+    terms = [el.terms if isinstance(el, Element) else dict(el) for el in family]
+    cols = sorted({(a, 0) for t in terms for (a, _te), c in t.items() if c % p},
+                  key=_order_key, reverse=True)
+    index = {a: j for j, (a, _z) in enumerate(cols)}
+    vectors = [{(index[a], te): c % p for (a, te), c in t.items() if c % p}
+               for t in terms]
+    n = 1 + max((te for vec in vectors for _j, te in vec), default=0)
 
-    basis = []  # (pivot_monomial, full_vector with a unit pivot at t=0)
+    basis = []  # (pivot coordinate, row with the entry 1 there at t^0)
     basis_tdeg = 0
     for vec in vectors:
-        if len(basis) == span_dim:
+        if len(basis) == len(cols):
             break
-        room = basis_tdeg + max((max(q) for q in vec.values()), default=0)
-        while True:
-            vec = {a: {e: c for e, c in poly.items() if c}
-                   for a, poly in vec.items()}
-            vec = {a: poly for a, poly in vec.items() if poly}
-            val = min((min(poly) for poly in vec.values()), default=0)
+        room = basis_tdeg + max((te for _j, te in vec), default=0)
+        while vec:
+            val = min(te for _j, te in vec)
             room -= val
-            if not vec or room < 0:
+            if room < 0:
                 break  # dependent over F_p(t)
             if val:
-                vec = {a: {e - val: c for e, c in poly.items()}
-                       for a, poly in vec.items()}
-            for pivot, bvec in basis:
-                c = vec.get(pivot, {}).get(0)
+                vec = {(j, te - val): c for (j, te), c in vec.items()}
+            for pivot, brow in basis:
+                c = vec.get((pivot, 0))
                 if c:
-                    for a, poly in bvec.items():
-                        dst = vec.setdefault(a, {})
-                        for e, bc in poly.items():
-                            dst[e] = (dst.get(e, 0) - c * bc) % p
-            head = {a: poly[0] for a, poly in vec.items() if poly.get(0)}
+                    _add_mul(vec, brow, {0: p - c}, n, p)
+            head = [j for j, te in vec if te == 0]
             if head:
-                pivot = max(head, key=lambda a: _order_key((a, 0)))
-                inv = pow(head[pivot], -1, p)
-                vec = {a: {e: c * inv % p for e, c in poly.items() if c}
-                       for a, poly in vec.items()}
+                pivot = min(head)
+                vec = _add_mul({}, vec, {0: pow(vec[(pivot, 0)], -1, p)}, n, p)
                 basis.append((pivot, vec))
-                basis_tdeg += max(max(poly) for poly in vec.values() if poly)
+                basis_tdeg += max(te for _j, te in vec)
                 break
             # t=0 layer cancelled; loop divides by t again
 
-    limit_rows = [{(a, 0): poly[0] for a, poly in bvec.items() if poly.get(0)}
-                  for _pivot, bvec in basis]
-    out_ctx = ctx.with_t(1)
-    return MonomialSpace(out_ctx, rows=_sparse_rref(limit_rows, p))
+    limit_rows = [{cols[j]: c for (j, te), c in row.items() if te == 0}
+                  for _pivot, row in basis]
+    return MonomialSpace(ctx.with_t(1), rows=_sparse_rref(limit_rows, p))

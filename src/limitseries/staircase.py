@@ -204,13 +204,19 @@ class Staircase:
 
     @classmethod
     def from_text(cls, text: str) -> "Staircase":
+        """Read to_text's form; a malformed line or repeated index raises."""
         heights = {}
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
+        for num, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
                 continue
-            idx, _, h = line.partition(":")
-            heights[(int(idx),)] = int(h)
+            try:
+                idx, h = (int(v) for v in line.split(":"))
+            except ValueError:
+                raise ValueError(f"line {num}: expected index:height, "
+                                 f"got {line.strip()!r}") from None
+            if (idx,) in heights:
+                raise ValueError(f"line {num}: index {idx} repeated")
+            heights[(idx,)] = h
         return cls(2, heights)
 
     def ascii_grid(self) -> str:

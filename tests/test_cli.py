@@ -141,10 +141,14 @@ class TestStaircaseCommand:
         ('{"heights": []}', "dim"),
         ('{"dim": 2, "heights": 5}', "heights"),
         ('{"dim": 2, "heights": [5]}', "heights"),
+        ("[[0, 2]]", "object"),
+        ("0:2\n0:1", "line 2: index 0 repeated"),
+        ("0:2:3", "line 1"),
+        ("0:2\n\n5", "line 3"),
     ])
     def test_file_input_rejects_malformed_fields(self, tmp_path, capsys,
                                                  text, field):
-        f = tmp_path / "st.json"
+        f = tmp_path / "st.txt"
         f.write_text(text)
         code, out, err = run(capsys, "staircase", "check", "--file", str(f))
         assert code == 2 and out == ""
@@ -254,6 +258,9 @@ class TestNagataCommand:
         ("--k", "3", "--m", "2", "--certificate", "--prime", "5"),
         ("--k", "4", "--m", "1", "--certificate", "--d-max", "3"),
         ("--k", "4", "--m", "1", "--certificate", "--trials", "2"),
+        ("--k", "2", "--m", "1", "--oracle", "--prime2", str(2**62 + 135)),
+        ("--k", "2", "--m", "1", "--oracle", "--prime", "1000003",
+         "--prime2", "1000003"),
     ])
     def test_out_of_range_arguments_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "nagata", *argv)

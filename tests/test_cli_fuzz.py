@@ -6,7 +6,9 @@ stderr, and the same argv prints the same stdout when it runs again.
 Invalid nagata input (k, m or trials below 1, a negative d_max, a prime
 not above a degree the run uses, or --d-max / --trials without the oracle
 table) exits 2, and so does a plan file that plan.schema.json rejects.
-A staircase file exits 0 or 2.
+A staircase file exits 0 or 2; a text staircase file exits 0 exactly when
+every line is blank or "index:height", the indices are distinct and the
+heights form a staircase.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 import traceback
 
@@ -215,6 +218,38 @@ def test_staircase_file(edits):
             json.dump(data, fh)
         code = check_contract(["staircase", "check", "--file", path])
     assert code in (0, 2), (data, code)
+
+
+text_lines = st.one_of(
+    st.tuples(st.integers(min_value=-1, max_value=4),
+              st.integers(min_value=-1, max_value=4)).map(
+        lambda ih: f"{ih[0]}:{ih[1]}"),
+    st.sampled_from(["", "   ", "0:2:3", "5", ":", "1:", ":2", "a:1", "1:b",
+                     "1.5:2", "0;2", "0:2 x", "[[0, 2]]", "{"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(text_lines, max_size=5))
+@example(lines=["0:2", "0:1"])
+@example(lines=["0:2", "", "1:1"])
+@example(lines=["0:2:3"])
+@example(lines=["[[0, 2]]"])
+def test_staircase_text_file(lines):
+    text = "\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "staircase.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = check_contract(["staircase", "check", "--file", path])
+    pairs = [tuple(map(int, m.groups())) for m in
+             (re.fullmatch(r"(-?\d+):(-?\d+)", line) for line in lines) if m]
+    heights = dict(pairs)
+    valid = (len(pairs) == sum(1 for line in lines if line.strip())
+             and len(heights) == len(pairs)
+             and all(i >= 0 and h >= 0 for i, h in pairs)
+             and all(h <= heights.get(i - 1, 0) for i, h in pairs
+                     if i > 0 and h > 0))
+    assert code == (0 if valid else 2), (text, code)
 
 
 def test_plan_schema_uses_the_subset_the_cli_reads():

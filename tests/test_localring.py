@@ -1,10 +1,12 @@
 import random
 import warnings
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitseries import horace
 from limitseries.errors import (BoundaryWarning, CapExceeded,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
@@ -18,7 +20,8 @@ from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    special_fiber, translate_ideal, truncate)
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
-from util import chain_corpus, monomial_span, random_staircase
+from util import (chain_corpus, monomial_span, plain_flat_limit,
+                  random_staircase)
 
 P = 10007
 
@@ -396,6 +399,74 @@ class TestFlatLimitCanonical:
                 assert lim.contains(Element(fib, vec)) == member
                 seen.add(member)
         assert seen == {True, False}
+
+
+class TestFlatLimitAgreesWithPlain:
+    """flat_limit on TModule rows gives the same rows, keys and order as the
+    dict-of-dicts reference ``plain_flat_limit``."""
+
+    @staticmethod
+    def _same(fam, c):
+        got, ref = flat_limit(fam, c), plain_flat_limit(fam, c)
+        assert got.ctx == ref.ctx
+        assert ([(k, list(r.items())) for k, r in got.rows.items()]
+                == [(k, list(r.items())) for k, r in ref.rows.items()])
+
+    @staticmethod
+    def _corpus(rng, p, dim):
+        """Empty and zero families, x after x + t^3 y (independent only
+        through the basis t-degree), random vectors over F_p[t] with
+        t-content, and planted F_p[t]-combinations of earlier vectors."""
+        mons = [a for a in product(range(3), repeat=dim) if sum(a) <= 2]
+        x, y = mons[0], mons[-1]
+        out = [[], [{}], [{}, {}], [{(x, 2): p}],
+               [{(x, 0): 1, (y, 3): 1}, {(x, 0): 1}]]
+        for _ in range(60):
+            fam = []
+            for _ in range(rng.randint(1, 5)):
+                shift = rng.choice((0, 0, 1, 2))
+                fam.append({(a, shift + e): rng.randrange(p)
+                            for a in rng.sample(mons, rng.randint(0, len(mons)))
+                            for e in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(0, 3)):
+                planted: dict = {}
+                for row in fam:
+                    for qe in range(rng.randint(0, 2)):
+                        qc = rng.randrange(p)
+                        for (a, te), v in row.items():
+                            k = (a, te + qe)
+                            planted[k] = (planted.get(k, 0) + qc * v) % p
+                fam.append(planted)
+            rng.shuffle(fam)
+            out.append(fam)
+        return out
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 1000003, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_seeded_corpus(self, p, dim):
+        rng = random.Random(f"{p}:{dim}")
+        c = RingContext(dim=dim, prime=p, t_trunc=None, x_cap=2)
+        for fam in self._corpus(rng, p, dim):
+            self._same(fam, c)
+
+    @pytest.mark.parametrize("kms", [(4, 1, 1), (5, 1, 1), (4, 2, 1),
+                                     (6, 1, 2)])
+    def test_real_plan_condition_rows(self, kms, monkeypatch):
+        seen = []
+
+        def record(family, ctx):
+            seen.append((family, ctx))
+            return flat_limit(family, ctx)
+
+        monkeypatch.setattr(horace, "flat_limit", record)
+        k, m, _ = kms
+        plan, model = horace.build_nagata_plan(*kms)
+        scene = horace.OracleScene(divisor_base=(m,) * k,
+                                   ambient_base=(m,) * (k - 1) ** 2,
+                                   prime=1000003, seed=1)
+        assert horace.limit_inclusion_check(plan, model, scene, seed=1)[0]
+        assert len(seen) == 1
+        self._same(*seen[0])
 
 
 class TestRowsLayout:

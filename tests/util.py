@@ -6,7 +6,8 @@ import random
 from math import comb
 
 from limitseries.interp import _materialize, conditions_matrix
-from limitseries.localring import Element, FamilyIdeal, MonomialSpace, RingContext
+from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
+                                   RingContext, _order_key, _sparse_rref)
 from limitseries.staircase import Staircase, make_staircase
 
 SECOND_PRIME = 2**31 - 1
@@ -88,6 +89,63 @@ def plain_kernel_mod_p(rows, ncols, p):
             vec[col] = (-rref[r][free]) % p
         basis.append(vec)
     return basis
+
+
+def plain_flat_limit(family, ctx: RingContext) -> MonomialSpace:
+    """flat_limit on {monomial: {t-exp: c}} vectors with its own update loop
+    and a pivot chosen by _order_key at every step: the reference the
+    library's flat limit on TModule rows must match, rows and order."""
+    if ctx.t_trunc is not None:
+        raise ValueError("flat_limit needs exact coefficients (t_trunc=None)")
+    p = ctx.prime
+    vectors = []
+    for el in family:
+        terms = el.terms if isinstance(el, Element) else dict(el)
+        vec = {}
+        for (a, te), c in terms.items():
+            if c % p:
+                vec.setdefault(a, {})[te] = c % p
+        vectors.append(vec)
+    span_dim = len({a for vec in vectors for a in vec})
+
+    basis = []  # (pivot_monomial, full_vector with a unit pivot at t=0)
+    basis_tdeg = 0
+    for vec in vectors:
+        if len(basis) == span_dim:
+            break
+        room = basis_tdeg + max((max(q) for q in vec.values()), default=0)
+        while True:
+            vec = {a: {e: c for e, c in poly.items() if c}
+                   for a, poly in vec.items()}
+            vec = {a: poly for a, poly in vec.items() if poly}
+            val = min((min(poly) for poly in vec.values()), default=0)
+            room -= val
+            if not vec or room < 0:
+                break  # dependent over F_p(t)
+            if val:
+                vec = {a: {e - val: c for e, c in poly.items()}
+                       for a, poly in vec.items()}
+            for pivot, bvec in basis:
+                c = vec.get(pivot, {}).get(0)
+                if c:
+                    for a, poly in bvec.items():
+                        dst = vec.setdefault(a, {})
+                        for e, bc in poly.items():
+                            dst[e] = (dst.get(e, 0) - c * bc) % p
+            head = {a: poly[0] for a, poly in vec.items() if poly.get(0)}
+            if head:
+                pivot = max(head, key=lambda a: _order_key((a, 0)))
+                inv = pow(head[pivot], -1, p)
+                vec = {a: {e: c * inv % p for e, c in poly.items() if c}
+                       for a, poly in vec.items()}
+                basis.append((pivot, vec))
+                basis_tdeg += max(max(poly) for poly in vec.values() if poly)
+                break
+            # t=0 layer cancelled; loop divides by t again
+
+    limit_rows = [{(a, 0): poly[0] for a, poly in bvec.items() if poly.get(0)}
+                  for _pivot, bvec in basis]
+    return MonomialSpace(ctx.with_t(1), rows=_sparse_rref(limit_rows, p))
 
 
 def matrix_corpus(seed, p, count=40):
