@@ -20,7 +20,8 @@ from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
                      require_desk_scale, verify_nagata_theorem)
-from .linalg import DEFAULT_PRIME, kernel_mod_p, rank_mod_p, require_prime
+from .linalg import (DEFAULT_PRIME, kernel_mod_p, rank_mod_p, reduced_kernel,
+                     require_prime)
 from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
 
@@ -497,8 +498,12 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
                          for (i, j), c in zip(cols, row) if c})
     ctx = RingContext(dim=2, prime=p, x_cap=max(d, 1))
     row_limit = flat_limit(rows, ctx)
-    limit = kernel_mod_p([[row.get((mon, 0), 0) for mon in cols]
-                          for row in row_limit.rows.values()], len(cols), p)
+    # the limit rows come in reduced echelon form: read the kernel off them
+    index = {(mon, 0): j for j, mon in enumerate(cols)}
+    limit = reduced_kernel([[row.get((mon, 0), 0) for mon in cols]
+                            for row in row_limit.rows.values()],
+                           [index[key] for key in row_limit.rows],
+                           len(cols), p)
 
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \

@@ -5,7 +5,11 @@ lists of ints in [0, p).  Polynomials in t over F_p are little-endian
 coefficient lists with no trailing zeros ([] is the zero polynomial).
 
 Every elimination over F_p is echelon_mod_p: rank, reduced echelon form,
-kernel, the sparse forms and each oracle trial's Hilbert function.
+kernel, the sparse forms and each oracle trial's Hilbert function.  It
+runs on packed rows: one Python int per row, one slot per column, reduced
+mod p only when read (Dumas, Fousse and Salvy, J. Symb. Comput. 2011;
+delayed reduction as in FFLAS/FFPACK).  A slot gains at most (p-1)^2 per
+pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits never overflow.
 """
 
 from __future__ import annotations
@@ -56,27 +60,48 @@ def echelon_mod_p(rows, p):
     """Row echelon form over F_p by forward elimination in column order:
     (echelon_rows, pivot_columns).  Rows are not normalised, nothing above
     a pivot is eliminated, zero rows are dropped and the input is not
-    mutated.  The pivots below column c count the rank of the first c
-    columns (the column rank profile)."""
-    rows = [[v % p for v in row] for row in rows if any(v % p for v in row)]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
+    mutated.  The pivot of a column is the first remaining row nonzero
+    there, swapped with the first remaining row.  The pivots below column
+    c count the rank of the first c columns (the column rank profile).
+
+    Each remaining row is one int with a slot of w = (nrows (p-1)^2 +
+    p).bit_length() + 1 bits per remaining column, the current column
+    lowest, so an entry reads as (x & mask) % p.  A pivot row b is
+    unpacked and reduced once, each row below it gains (-f/pivot mod p) b,
+    and x >> w drops the column, whose slot then holds a multiple of p.
+    A slot starts below p and gains at most (p-1)^2 per pivot, so it stays
+    below nrows (p-1)^2 + p < 2^(w-1): no slot carries into the next."""
+    ncols = len(rows[0]) if rows else 0
+    w = (len(rows) * (p - 1) ** 2 + p).bit_length() + 1
+    mask = (1 << w) - 1
+
+    def pack(row):
+        x = 0
+        for v in reversed(row):
+            x = x << w | v % p
+        return x
+
+    live = [x for x in map(pack, rows) if x]
+    echelon, pivots = [], []
+    for col in range(ncols):
+        for i, x in enumerate(live):
+            if (x & mask) % p:
+                break
+        else:
+            live = [x >> w for x in live]
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[col], -1, p)
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                f = f * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        b = live[i]
+        live[i] = live[0]
+        slots = [b >> s & mask for s in range(0, b.bit_length(), w)]
+        prow = [v % p for v in slots]
+        if prow != slots:
+            b = pack(prow)
+        neg_inv = p - pow(prow[0], -1, p)
+        live = [(x + f * neg_inv % p * b) >> w if (f := x & mask) else x >> w
+                for x in live[1:]]
+        echelon.append([0] * col + prow + [0] * (ncols - col - len(prow)))
         pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows[:len(pivots)], pivots
+    return echelon, pivots
 
 
 def rref_mod_p(rows, p):
@@ -104,7 +129,13 @@ def rank_mod_p(rows, p) -> int:
 
 def kernel_mod_p(rows, ncols, p):
     """Basis of the right kernel of the matrix over F_p."""
-    rref, pivots = rref_mod_p(rows, p)
+    return reduced_kernel(*rref_mod_p(rows, p), ncols, p)
+
+
+def reduced_kernel(rref, pivots, ncols, p):
+    """Right kernel of reduced rows: row r is 1 at column pivots[r] and 0
+    at every other pivot, in any column order.  One vector per free
+    column: 1 there and -row[free] at each pivot."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

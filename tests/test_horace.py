@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from limitseries import horace
 from limitseries.errors import (DomainError, HypothesisFailed,
                                 OracleResourceLimit)
 from limitseries.horace import (LineSystemModel, OracleScene,
@@ -9,8 +10,12 @@ from limitseries.horace import (LineSystemModel, OracleScene,
                                 build_nagata_plan, hypothesis_check,
                                 limit_inclusion_check, nagata_certificate,
                                 slice_degree_table, validate_plan)
+from limitseries.interp import monomials_of_degree_at_most
+from limitseries.linalg import kernel_mod_p
 from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
                                    suppress_tuple)
+
+from util import plain_rref_mod_p
 
 P = 1000003
 
@@ -255,6 +260,32 @@ class TestLimitInclusion:
                                             seed=1)
         assert ok
         assert (details["dim_limit"], details["dim_target"]) == dims
+
+    @pytest.mark.parametrize("kms", [(4, 1, 1), (5, 1, 1), (4, 2, 1),
+                                     (6, 1, 2)])
+    def test_limit_kernel_read_off_the_row_limit(self, kms, monkeypatch):
+        # the limit system read off flat_limit's reduced rows spans the
+        # kernel of a fresh elimination of those rows
+        seen = {}
+
+        def capture(name, fn):
+            def wrapped(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            monkeypatch.setattr(horace, name, wrapped)
+
+        capture("flat_limit", horace.flat_limit)
+        capture("reduced_kernel", horace.reduced_kernel)
+        k, m, _ = kms
+        plan, model = build_nagata_plan(*kms)
+        limit_inclusion_check(plan, model, nagata_scene(k, m), seed=1)
+        cols = monomials_of_degree_at_most(model.degree)
+        fresh = kernel_mod_p([[row.get((mon, 0), 0) for mon in cols]
+                              for row in seen["flat_limit"].rows.values()],
+                             len(cols), P)
+        assert len(seen["reduced_kernel"]) == len(fresh)
+        assert (plain_rref_mod_p(seen["reduced_kernel"], P)
+                == plain_rref_mod_p(fresh, P))
 
     def test_oracle_hypotheses_at_degree_12(self):
         plan, model = build_nagata_plan(4, 3, 0)

@@ -10,8 +10,9 @@ from limitseries.linalg import (DEFAULT_PRIME, echelon_mod_p, is_prime,
                                 rref_mod_p)
 from limitseries.localring import _sp_inv
 
-from util import (matrix_corpus, plain_kernel_mod_p, plain_rank_mod_p,
-                  plain_rref_mod_p)
+from util import (matrix_corpus, nagata_conditions, plain_echelon_mod_p,
+                  plain_kernel_mod_p, plain_rank_mod_p, plain_rref_mod_p,
+                  slot_stress_corpus)
 
 P = 10007
 
@@ -47,8 +48,12 @@ def test_rref_is_canonical():
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003])
 def test_eliminator_agrees_with_plain_elimination(p):
+    for k, m in ((6, 1), (5, 2)):
+        rows = nagata_conditions(k, m, p)
+        assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
     for rows in matrix_corpus(11, p):
         snapshot = [list(row) for row in rows]
+        assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
         ncols = len(rows[0]) if rows else 0
         rank = plain_rank_mod_p(rows, p)
         assert rank_mod_p(rows, p) == rank
@@ -67,6 +72,12 @@ def test_eliminator_agrees_with_plain_elimination(p):
         for c in range(ncols + 1):
             assert bisect_left(pivots, c) == plain_rank_mod_p(
                 [row[:c] for row in rows], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003, DEFAULT_PRIME])
+def test_packed_slots_hold_the_largest_updates(p):
+    for rows in slot_stress_corpus(p):
+        assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
 
 
 def test_kernel_mod_p():

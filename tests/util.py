@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from math import comb
 
-from limitseries.interp import _materialize, conditions_matrix
+from limitseries.interp import Site, _materialize, conditions_matrix
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, _order_key, _sparse_rref)
-from limitseries.staircase import Staircase, make_staircase
+from limitseries.staircase import Staircase, make_staircase, regular
 
 SECOND_PRIME = 2**31 - 1
 
@@ -49,33 +49,34 @@ def plain_rref_mod_p(rows, p):
     return [row for row in rows[:r]], pivots
 
 
-def plain_rank_mod_p(rows, p) -> int:
-    """Rank over F_p by plain Gaussian elimination (no normalization)."""
+def plain_echelon_mod_p(rows, p):
+    """Forward elimination on lists, one row update at a time: the
+    reference echelon_mod_p's packed rows must match, rows, pivots and
+    row order."""
     rows = [[v % p for v in row] for row in rows if any(v % p for v in row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
         inv = pow(prow[col], -1, p)
-        for i in range(rank + 1, len(rows)):
+        for i in range(r + 1, len(rows)):
             f = rows[i][col]
             if f:
                 f = f * inv % p
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return rows[:len(pivots)], pivots
+
+
+def plain_rank_mod_p(rows, p) -> int:
+    """Rank over F_p by plain Gaussian elimination (no normalization)."""
+    return len(plain_echelon_mod_p(rows, p)[1])
 
 
 def plain_kernel_mod_p(rows, ncols, p):
@@ -173,6 +174,36 @@ def matrix_corpus(seed, p, count=40):
                 rows[i] = [0] * ncols
         out.append(rows)
     return out
+
+
+def slot_stress_corpus(p, n=40):
+    """Matrices that push the packed slots of echelon_mod_p to their bound:
+    every entry p - 1 (tall, wide, square), a rank-deficient product of
+    such entries, and a staircase whose last row takes the largest update,
+    (p-1)^2 into each later slot, from every one of the n - 1 pivots
+    above it (row k is 1 at column k and p - 1 after it; the last row
+    is 1 - j at column j, which is 1 again when column j is reached)."""
+    rng = random.Random(p)
+    out = [[[p - 1] * 5 for _ in range(n)], [[p - 1] * n for _ in range(5)],
+           [[p - 1] * n for _ in range(n)]]
+    left = [[rng.choice((1, p - 1)) for _ in range(n // 2)] for _ in range(n)]
+    right = [[rng.choice((1, p - 1)) for _ in range(n)]
+             for _ in range(n // 2)]
+    out.append([[sum(a * right[j][c] for j, a in enumerate(lrow)) % p
+                 for c in range(n)] for lrow in left])
+    stair = [[0] * k + [1] + [p - 1] * (n - 1 - k) for k in range(n - 1)]
+    last = [(1 - j) % p for j in range(n)]
+    out += [stair + [last], stair + [last] * 3, [row + row for row in stair]
+            + [last + last]]
+    return out
+
+
+def nagata_conditions(k, m, p, seed=0):
+    """One trial's degree-(km + k) conditions matrix of k^2 generic fat
+    points of multiplicity m: the matrix the Nagata oracle eliminates."""
+    sites = [Site(regular(m)) for _ in range(k * k)]
+    return conditions_matrix(_materialize(sites, random.Random(seed), p),
+                             k * m + k, p)
 
 
 def per_degree_oracle(sites, d_max, trials, seed, p):
