@@ -217,9 +217,9 @@ def _add_mul(row, other, q, n, p):
     Rows are {(coord, t_exp): coeff} and q is {t_exp: coeff}; every Howell
     step (normalisation, cancellation, shadow, back-reduction, membership,
     expansion to an F_p-basis) and every flat_limit step is this update."""
-    q = list(q.items())
-    for (j, te), c in other.items():
-        for qe, qc in q:
+    # q is outside: it has one term in almost every call, other has many
+    for qe, qc in q.items():
+        for (j, te), c in other.items():
             te2 = te + qe
             if te2 < n:
                 k = (j, te2)
