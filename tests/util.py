@@ -179,10 +179,11 @@ def matrix_corpus(seed, p, count=40):
 def slot_stress_corpus(p, n=40):
     """Matrices that push the packed slots of echelon_mod_p to their bound:
     every entry p - 1 (tall, wide, square), a rank-deficient product of
-    such entries, and a staircase whose last row takes the largest update,
-    (p-1)^2 into each later slot, from every one of the n - 1 pivots
-    above it (row k is 1 at column k and p - 1 after it; the last row
-    is 1 - j at column j, which is 1 again when column j is reached)."""
+    factors with entries 1 and p - 1, and staircases whose last rows take
+    the largest update, (p-1)^2 into each later slot, from every one of
+    the n - 1 pivots above them (row k is 1 at column k and p - 1 after
+    it; a last row is 1 - j at column j, which is 1 again when column j
+    is reached)."""
     rng = random.Random(p)
     out = [[[p - 1] * 5 for _ in range(n)], [[p - 1] * n for _ in range(5)],
            [[p - 1] * n for _ in range(n)]]
