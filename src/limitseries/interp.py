@@ -25,8 +25,8 @@ from .staircase import Staircase, regular
 # Nagata plans 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s, 88,200
 # 12 s, 126,360 17 s, 243,040 52 s; a one-cell plan at degree 24 (325 x 325)
 # 0.1-21 s for 0-325 simple scene points; the (6,3) oracle table, 70,200
-# entries, one packed elimination per trial: 0.42-0.46 s a trial at
-# p = 2^61 - 1, 0.16-0.19 s at p = 1000003.
+# entries, one packed elimination per trial: 0.34-0.54 s a trial at
+# p = 2^61 - 1, 0.14-0.21 s at p = 1000003.
 DESK_MATRIX_BUDGET = 120_000
 
 
@@ -87,95 +87,68 @@ def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME):
 
     Rows: one per staircase cell over all sites (Taylor coefficient of the
     cell monomial in frame coordinates).  Columns: the (d+1)(d+2)/2 curve
-    coefficients.  Entries are exact integers mod p.
+    coefficients.  Entries are exact integers mod p; two sites whose
+    positions agree mod p are refused.
     """
     require_prime(p)
     if p <= d:
         raise PrimeTooSmall(f"prime {p} must exceed the degree {d}")
     cols = monomials_of_degree_at_most(d)
-    colindex = {mon: idx for idx, mon in enumerate(cols)}
     rows = []
     seen = set()
     for site in sites:
         if site.position is None:
             raise ValueError("site position must be materialized first")
-        if site.position in seen:
+        position = tuple(c % p for c in site.position)
+        if position in seen:
             raise ValueError(f"duplicate site position {site.position}")
-        seen.add(site.position)
-        rows.extend(_site_rows(site, d, p, colindex))
+        seen.add(position)
+        rows.extend(_site_rows(site, position, d, p, cols))
     return rows
 
 
-def _site_rows(site, d, p, colindex):
-    px, py = (c % p for c in site.position)
+def _site_rows(site, position, d, p, cols):
+    """Rows of the site's cells on the columns cols.
+
+    Identity frame: the cell (a, b) is the coefficient of u1^a u2^b in
+    f(px + u1, py + u2), on the column x^i y^j the x-factor C(i, a)
+    px^(i-a) times the y-factor C(j, b) py^(j-b).  A frame F is a linear
+    change of jet, degree by degree: f(P + F u) = sum_beta taylor(beta)
+    (F u)^beta, so the row of alpha is the sum over |beta| = |alpha| of
+    [u^alpha] (F u)^beta times taylor(beta)."""
+    px, py = position
     cells = site.shape.cells()
     if not cells:
         return []
-    ncols = len(colindex)
+
+    def taylor(a, b):
+        xf = [comb(i, a) * pow(px, i - a, p) % p if i >= a else 0
+              for i in range(d + 1)]
+        yf = [comb(j, b) * pow(py, j - b, p) % p if j >= b else 0
+              for j in range(d + 1)]
+        return [xf[i] * yf[j] % p for i, j in cols]
+
     frame = site.frame
     if frame is None or frame == ((1, 0), (0, 1)):
-        return _identity_frame_rows(px, py, cells, d, p, colindex, ncols)
+        return [taylor(a, b) for a, b in cells]
     if _frame_det(frame, p) == 0:
         raise ValueError("site frame is not invertible")
-    return _general_frame_rows(px, py, frame, cells, d, p, colindex, ncols)
-
-
-def _identity_frame_rows(px, py, cells, d, p, colindex, ncols):
-    # coefficient of u1^a u2^b in (px+u1)^i (py+u2)^j is
-    # C(i,a) px^(i-a) C(j,b) py^(j-b)
-    powx = [1] * (d + 1)
-    powy = [1] * (d + 1)
-    for i in range(1, d + 1):
-        powx[i] = powx[i - 1] * px % p
-        powy[i] = powy[i - 1] * py % p
-    rows = []
-    for (a, b) in cells:
-        row = [0] * ncols
-        for (i, j), idx in colindex.items():
-            if i >= a and j >= b:
-                row[idx] = (comb(i, a) * powx[i - a] % p) * \
-                           (comb(j, b) * powy[j - b] % p) % p
-        rows.append(row)
-    return rows
-
-
-def _general_frame_rows(px, py, frame, cells, d, p, colindex, ncols):
-    # global coordinates as functions of the local ones:
-    #   x = px + f00 u1 + f01 u2,  y = py + f10 u1 + f11 u2
     (f00, f01), (f10, f11) = frame
-    maxdeg = max(a + b for a, b in cells)
-
-    def truncated_mul(P, Q):
-        out = {}
-        for (a1, b1), c1 in P.items():
-            for (a2, b2), c2 in Q.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > maxdeg:
-                    continue
-                key = (a, b)
-                out[key] = (out.get(key, 0) + c1 * c2) % p
-        return out
-
-    X = {(0, 0): px % p, (1, 0): f00 % p, (0, 1): f01 % p}
-    Y = {(0, 0): py % p, (1, 0): f10 % p, (0, 1): f11 % p}
-    xpow = [{(0, 0): 1}]
-    ypow = [{(0, 0): 1}]
-    for _ in range(d):
-        xpow.append(truncated_mul(xpow[-1], X))
-        ypow.append(truncated_mul(ypow[-1], Y))
+    jets = {n: [taylor(e, n - e) for e in range(n + 1)]
+            for n in {a + b for a, b in cells}}
     rows = []
-    for (a, b) in cells:
-        row = [0] * ncols
-        for (i, j), idx in colindex.items():
-            acc = 0
-            for (a1, b1), c1 in xpow[i].items():
-                if a1 > a or b1 > b:
-                    continue
-                c2 = ypow[j].get((a - a1, b - b1))
-                if c2:
-                    acc += c1 * c2
-            row[idx] = acc % p
-        rows.append(row)
+    for a, b in cells:
+        acc = [0] * len(cols)
+        for e1, row in enumerate(jets[a + b]):
+            # [u1^a u2^b] (f00 u1 + f01 u2)^e1 (f10 u1 + f11 u2)^e2
+            e2 = a + b - e1
+            c = sum(comb(e1, k) * pow(f00, k, p) * pow(f01, e1 - k, p)
+                    * comb(e2, a - k) * pow(f10, a - k, p)
+                    * pow(f11, e2 - a + k, p)
+                    for k in range(max(0, a - e2), min(e1, a) + 1)) % p
+            if c:
+                acc = [s + c * v for s, v in zip(acc, row)]
+        rows.append([s % p for s in acc])
     return rows
 
 

@@ -14,17 +14,28 @@ pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits never overflow.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import PrimeTooSmall
 
 DEFAULT_PRIME = 2**61 - 1
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_WITNESSES (Sorenson and
+# Webster, Math. Comp. 2017)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3.3e24."""
+    """Deterministic Miller-Rabin with the primes up to 41 as witnesses,
+    exact for every n < 3,317,044,064,679,887,385,961,981; raises
+    ValueError from that bound up."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is beyond the primality test's bound "
+                         f"{_MR_BOUND}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q

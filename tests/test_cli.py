@@ -324,6 +324,17 @@ class TestLimitCommand:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_strong_pseudoprime_scene_exit_2(self, tmp_path, capsys):
+        # 399165290221 * 798330580441, a strong pseudoprime to every base
+        # up to 37, is below the primality test's bound
+        plan = replaced(PLAN_OK, "scene", prime=318665857834031151167461)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(plan))
+        code, _, err = run(capsys, "limit", str(f), "--oracle",
+                           "--verify-limit")
+        assert code == 2
+        assert err.startswith("error: ") and "not prime" in err
+
     def test_t_prec_flag_removed(self, tmp_path, capsys):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps(PLAN_OK))

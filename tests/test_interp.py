@@ -10,7 +10,8 @@ from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
 from limitseries.linalg import rank_mod_p
 from limitseries.staircase import make_staircase, regular
 
-from util import SECOND_PRIME, per_degree_oracle
+from util import (SECOND_PRIME, per_degree_oracle, plain_site_rows,
+                  site_corpus)
 
 P = 1000003
 
@@ -37,9 +38,29 @@ class TestConditionsMatrix:
             conditions_matrix([Site(regular(1), (0, 1))], 7, 7)
 
     def test_duplicate_positions_rejected(self):
-        with pytest.raises(ValueError):
-            conditions_matrix([Site(regular(1), (1, 1)),
-                               Site(regular(1), (1, 1))], 2, P)
+        # positions are points of the plane over F_p: compared mod p
+        for other in ((1, 5), (1 + P, 5), (1, 5 - P)):
+            with pytest.raises(ValueError, match="duplicate"):
+                conditions_matrix([Site(regular(1), (1, 5)),
+                                   Site(regular(1), other)], 2, P)
+
+    @pytest.mark.parametrize("p", [1000003, 2**61 - 1, 101])
+    def test_rows_agree_with_plain_builders(self, p):
+        for sites, d in site_corpus(p, p):
+            assert conditions_matrix(sites, d, p) == [
+                row for site in sites for row in plain_site_rows(site, d, p)]
+
+    def test_singular_frame_rejected(self):
+        # det = 6 + P - 6 vanishes mod P; an empty shape has no rows to refuse
+        singular = ((1, 2), (3, 6 + P))
+        site = Site(make_staircase([2]), (1, 5), singular)
+        for build in (lambda: conditions_matrix([site], 3, P),
+                      lambda: plain_site_rows(site, 3, P)):
+            with pytest.raises(ValueError, match="not invertible"):
+                build()
+        empty = Site(make_staircase([]), (1, 5), singular)
+        assert conditions_matrix([empty], 3, P) == [] \
+            == plain_site_rows(empty, 3, P)
 
 
 class TestSystemDimension:
@@ -213,6 +234,8 @@ class TestNagataOracle:
         ({"prime": 3}, PrimeTooSmall, "prime 3"),
         ({"prime2": 5}, PrimeTooSmall, "prime 5"),
         ({"prime": 91}, PrimeTooSmall, "not prime"),
+        # a strong pseudoprime to every base up to 37
+        ({"prime": 318665857834031151167461}, PrimeTooSmall, "not prime"),
     ])
     def test_invalid_tables_raise(self, kwargs, error, match):
         with pytest.raises(error, match=match):

@@ -25,6 +25,23 @@ def test_is_prime_basics():
     assert not is_prime(561) and not is_prime(3215031751)  # Carmichael
 
 
+def test_is_prime_strong_pseudoprime_to_bases_up_to_37():
+    # Sorenson and Webster, Math. Comp. 2017: a strong pseudoprime to all
+    # of 2, 3, ..., 37; base 41 exposes it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    # the least strong pseudoprime to every prime base up to 41
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1) and not is_prime(bound - 2)
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="bound"):
+            is_prime(n)
+
+
 def test_require_prime():
     with pytest.raises(PrimeTooSmall):
         require_prime(91)

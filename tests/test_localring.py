@@ -10,8 +10,8 @@ from limitseries import horace
 from limitseries.errors import (BoundaryWarning, CapExceeded,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
-from limitseries.linalg import (kernel_mod_p, kernel_over_fpt, padd, pmul,
-                                pnorm, rank_mod_p)
+from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
+                                padd, pmul, pnorm, rank_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, boundary_columns,
                                    chain_context, closed_form_residual,
@@ -165,6 +165,17 @@ class TestResidualChain:
         assert sp.contains(Element(c, {((1,), 0): 1, ((0,), 2): -1}))
         assert sp.contains(Element(c, {((0,), 1): 1}))
         assert not sp.contains(Element.one(c))
+
+    def test_prime_checked_once(self):
+        # every with_t, with_cap and replace builds a context on the same
+        # prime: the Miller-Rabin test runs for it once
+        p = 1000003
+        is_prime(p)
+        misses = is_prime.cache_info().misses
+        E = regular(2)
+        ctx = chain_context(E, 2, [3], p)
+        special_fiber(residual_chain(E, 2, [3], ctx))
+        assert is_prime.cache_info().misses == misses
 
     def test_invalid_sequence(self):
         with pytest.raises(InvalidSequence):

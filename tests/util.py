@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from math import comb
 
-from limitseries.interp import Site, _materialize, conditions_matrix
+from limitseries.interp import (Site, _materialize, conditions_matrix,
+                                monomials_of_degree_at_most)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, _order_key, _sparse_rref)
-from limitseries.staircase import Staircase, make_staircase, regular
+from limitseries.staircase import (Staircase, f_staircase, make_staircase,
+                                   regular)
 
 SECOND_PRIME = 2**31 - 1
 
@@ -196,6 +198,134 @@ def slot_stress_corpus(p, n=40):
     last = [(1 - j) % p for j in range(n)]
     out += [stair + [last], stair + [last] * 3, [row + row for row in stair]
             + [last + last]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# plain site rows: the reference conditions_matrix's one row builder must match
+# ---------------------------------------------------------------------------
+
+def plain_site_rows(site, d, p):
+    """A site's condition rows by two builders: per-entry binomials for the
+    identity frame, truncated bivariate powers of the frame otherwise."""
+    px, py = (c % p for c in site.position)
+    cells = site.shape.cells()
+    if not cells:
+        return []
+    colindex = {mon: idx for idx, mon in enumerate(
+        monomials_of_degree_at_most(d))}
+    ncols = len(colindex)
+    frame = site.frame
+    if frame is None or frame == ((1, 0), (0, 1)):
+        return _plain_identity_frame_rows(px, py, cells, d, p, colindex,
+                                          ncols)
+    (a, b), (c, e) = frame
+    if (a * e - b * c) % p == 0:
+        raise ValueError("site frame is not invertible")
+    return _plain_general_frame_rows(px, py, frame, cells, d, p, colindex,
+                                     ncols)
+
+
+def _plain_identity_frame_rows(px, py, cells, d, p, colindex, ncols):
+    # coefficient of u1^a u2^b in (px+u1)^i (py+u2)^j is
+    # C(i,a) px^(i-a) C(j,b) py^(j-b)
+    powx = [1] * (d + 1)
+    powy = [1] * (d + 1)
+    for i in range(1, d + 1):
+        powx[i] = powx[i - 1] * px % p
+        powy[i] = powy[i - 1] * py % p
+    rows = []
+    for (a, b) in cells:
+        row = [0] * ncols
+        for (i, j), idx in colindex.items():
+            if i >= a and j >= b:
+                row[idx] = (comb(i, a) * powx[i - a] % p) * \
+                           (comb(j, b) * powy[j - b] % p) % p
+        rows.append(row)
+    return rows
+
+
+def _plain_general_frame_rows(px, py, frame, cells, d, p, colindex, ncols):
+    # global coordinates as functions of the local ones:
+    #   x = px + f00 u1 + f01 u2,  y = py + f10 u1 + f11 u2
+    (f00, f01), (f10, f11) = frame
+    maxdeg = max(a + b for a, b in cells)
+
+    def truncated_mul(P, Q):
+        out = {}
+        for (a1, b1), c1 in P.items():
+            for (a2, b2), c2 in Q.items():
+                a, b = a1 + a2, b1 + b2
+                if a + b > maxdeg:
+                    continue
+                key = (a, b)
+                out[key] = (out.get(key, 0) + c1 * c2) % p
+        return out
+
+    X = {(0, 0): px % p, (1, 0): f00 % p, (0, 1): f01 % p}
+    Y = {(0, 0): py % p, (1, 0): f10 % p, (0, 1): f11 % p}
+    xpow = [{(0, 0): 1}]
+    ypow = [{(0, 0): 1}]
+    for _ in range(d):
+        xpow.append(truncated_mul(xpow[-1], X))
+        ypow.append(truncated_mul(ypow[-1], Y))
+    rows = []
+    for (a, b) in cells:
+        row = [0] * ncols
+        for (i, j), idx in colindex.items():
+            acc = 0
+            for (a1, b1), c1 in xpow[i].items():
+                if a1 > a or b1 > b:
+                    continue
+                c2 = ypow[j].get((a - a1, b - b1))
+                if c2:
+                    acc += c1 * c2
+            row[idx] = acc % p
+        rows.append(row)
+    return rows
+
+
+def site_corpus(seed, p, count=60):
+    """Seeded (sites, degree) pairs over F_p: degrees 0-9, up to four sites
+    with positions outside [0, p) too, shapes regular (R_0 is empty),
+    bars, F_2, the empty shape and mixed staircases, frames None,
+    identity, swap and random invertible (entries outside [0, p) too)."""
+    rng = random.Random(seed)
+
+    def shape():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return regular(rng.randrange(5))
+        if kind == 1:
+            n = rng.randrange(1, 6)
+            return make_staircase([n] if rng.random() < 0.5 else [1] * n)
+        if kind == 2:
+            return f_staircase(2)
+        if kind == 3:
+            return make_staircase([])
+        return make_staircase(sorted(
+            (rng.randrange(1, 5) for _ in range(rng.randrange(1, 4))),
+            reverse=True))
+
+    def frame():
+        kind = rng.randrange(4)
+        if kind < 3:
+            return (None, ((1, 0), (0, 1)), ((0, 1), (1, 0)))[kind]
+        while True:
+            f = ((rng.randrange(-p, 2 * p), rng.randrange(p)),
+                 (rng.randrange(p), rng.randrange(p)))
+            if (f[0][0] * f[1][1] - f[0][1] * f[1][0]) % p:
+                return f
+
+    out = []
+    for n in range(count):
+        sites, used = [], set()
+        for _ in range(rng.randrange(5)):
+            pos = (rng.randrange(-3, p + 5), rng.randrange(p))
+            if (pos[0] % p, pos[1] % p) not in used:
+                used.add((pos[0] % p, pos[1] % p))
+                sites.append(Site(shape(), pos, frame()))
+        out.append((sites, n % 10))
     return out
 
 
