@@ -12,6 +12,7 @@ verifies the limit inclusion directly through the flat-limit machinery.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
@@ -20,8 +21,8 @@ from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
                      require_desk_scale, verify_nagata_theorem)
-from .linalg import (DEFAULT_PRIME, kernel_mod_p, rank_mod_p, reduced_kernel,
-                     require_prime)
+from .linalg import (DEFAULT_PRIME, echelon_mod_p, kernel_mod_p, rank_mod_p,
+                     reduced_kernel, require_prime)
 from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
 
@@ -282,11 +283,12 @@ def _materialize_scene(plan, scene, rng, p):
 
 def _base_sites(placed, r):
     """Fat-point base conditions after r copies of the divisor are split
-    off: divisor points drop to multiplicity M - r, ambient ones stay."""
-    sites = [Site(regular(M - r), (0, w))
-             for M, w in placed.divisor if M - r > 0]
-    sites += [Site(regular(M), pt) for M, pt in placed.ambient]
-    return sites
+    off: divisor points drop to multiplicity M - r, ambient ones stay.
+    Sites of one multiplicity share one shape."""
+    divisor = [(M - r, (0, w)) for M, w in placed.divisor if M - r > 0]
+    points = divisor + placed.ambient
+    shape = {M: regular(M) for M in {M for M, _ in points}}
+    return [Site(shape[M], pt) for M, pt in points]
 
 
 def _residual_system_sites(plan, placed, r, residual):
@@ -310,6 +312,40 @@ def _system_dim(d, sites, p):
 # ---------------------------------------------------------------------------
 
 
+def _level_dims(plan, placed, d, p):
+    """(dim_with_z, dim_next) of every level, read off one elimination of
+    the degree-d base conditions in x-block column order (the argument is
+    in hypothesis_check)."""
+    if not plan.r:
+        return []
+    # x^d, ..., x^0, y ascending inside a block: blocks x^i and up fill the
+    # first ambient_sections(d - i) places
+    blocks = [(a, b) for a in range(d, -1, -1) for b in range(d - a + 1)]
+    echelon, pivots = echelon_mod_p(
+        conditions_matrix(_base_sites(placed, 0), d, p, blocks), p)
+    dims = []
+    for i in range(1, plan.r + 1):
+        e = d - i + 1
+        if e < 0:
+            dims.append((0, 0))
+            continue
+        # block x^(i-1) holds places lo..hi-1, blocks x^i and up those below
+        lo, hi = ambient_sections(e - 1), ambient_sections(e)
+        above, within = bisect_left(pivots, lo), bisect_left(pivots, hi)
+        z_sites = []
+        for E, t, y in zip(plan.shapes, plan.t_vector(i), placed.sliding_ys):
+            Z = _slice_as_plane(E.slice(t))
+            if not Z.is_empty:
+                z_sites.append(Site(Z, (0, y)))
+        # Z_i's rows vanish off the x^0 columns, which x^(i-1) carries onto
+        # block x^(i-1) in the same order
+        z_rows = conditions_matrix(z_sites, e, p,
+                                   [(0, j) for j in range(e + 1)])
+        block = [row[lo:hi] for row in echelon[above:within]]
+        dims.append((hi - above - rank_mod_p(block + z_rows, p), lo - above))
+    return dims
+
+
 def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
                      mode: str = "degree-count", scene: OracleScene | None = None,
                      trials: int = 2, seed: int = 0):
@@ -318,8 +354,24 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
 
     degree-count mode is pure arithmetic: deg(Z_i on D) must reach the
     degree of the restricted system on D minus the base conditions already
-    there, plus one.  oracle mode compares the dimensions of both systems
-    exactly at desk scale (needs a scene).
+    there, plus one.  oracle mode compares exactly at desk scale (needs a
+    scene), at level i and e = d - i + 1, dim_with_z = dim L_e(base_(i-1)
+    + Z_i) with dim_next = dim L_(e-1)(base_i), each the least over trials;
+    base_r is the scene with r copies of D split off.
+
+    One elimination per trial gives every level.  At a point of D,
+    ord(x^i g) = i + ord(g), and x is a unit at the ambient points, so g
+    lies in L_(d-i)(base_i) exactly when x^i g lies in L_d(base_0).  The
+    degree-d conditions of base_0 are eliminated once with the columns in
+    x-exponent blocks, highest first.  Blocks x^i and up are the multiples
+    of x^i, the first ambient_sections(d - i) columns, and their pivots
+    count the rank there (the column rank profile): dim_next is
+    ambient_sections(d - i) minus them.  The slices Z_i sit at (0, y), so
+    their rows live on the x^0 columns, which multiplying by x^(i-1)
+    carries onto block x^(i-1).  On blocks x^(i-1) and up the echelon is
+    block upper triangular, so dim_with_z is ambient_sections(e) minus the
+    pivots in blocks x^i and up minus the rank of the echelon rows pivoted
+    in block x^(i-1), cut to that block, stacked on the Z_i rows.
     """
     if mode not in ("degree-count", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -343,27 +395,14 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
     _require_desk_scale(plan, model, scene)
     p = scene.prime
     require_prime(p)
-    d = model.degree
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
-    dims_with = [None] * plan.r
-    dims_without = [None] * plan.r
+    least = None
     for _ in range(max(1, trials)):
         placed = _materialize_scene(plan, scene, rng, p)
-        for i in range(1, plan.r + 1):
-            di = d - (i - 1)
-            sites_with = _base_sites(placed, i - 1)
-            ts = plan.t_vector(i)
-            for E, t, y in zip(plan.shapes, ts, placed.sliding_ys):
-                Z = _slice_as_plane(E.slice(t))
-                if not Z.is_empty:
-                    sites_with.append(Site(Z, (0, y)))
-            a = _system_dim(di, sites_with, p)
-            b = _system_dim(di - 1, _base_sites(placed, i), p)
-            dims_with[i - 1] = a if dims_with[i - 1] is None else min(dims_with[i - 1], a)
-            dims_without[i - 1] = b if dims_without[i - 1] is None \
-                else min(dims_without[i - 1], b)
-    for i in range(1, plan.r + 1):
-        a, b = dims_with[i - 1], dims_without[i - 1]
+        dims = _level_dims(plan, placed, model.degree, p)
+        least = dims if least is None else [
+            (min(a, a2), min(b, b2)) for (a, b), (a2, b2) in zip(least, dims)]
+    for i, (a, b) in enumerate(least, 1):
         verdicts.append({"level": i, "mode": mode, "ok": a == b,
                          "dim_with_z": a, "dim_next": b})
     return verdicts

@@ -82,18 +82,20 @@ def _frame_det(frame, p):
     return (a * d - b * c) % p
 
 
-def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME):
+def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME, cols=None):
     """Vanishing conditions of the sites on degree-d curves.
 
     Rows: one per staircase cell over all sites (Taylor coefficient of the
     cell monomial in frame coordinates).  Columns: the (d+1)(d+2)/2 curve
-    coefficients.  Entries are exact integers mod p; two sites whose
-    positions agree mod p are refused.
+    coefficients in monomials_of_degree_at_most order, or the monomials
+    (i, j) with i + j <= d listed in cols.  Entries are exact integers mod
+    p; two sites whose positions agree mod p are refused.
     """
     require_prime(p)
     if p <= d:
         raise PrimeTooSmall(f"prime {p} must exceed the degree {d}")
-    cols = monomials_of_degree_at_most(d)
+    if cols is None:
+        cols = monomials_of_degree_at_most(d)
     rows = []
     seen = set()
     for site in sites:

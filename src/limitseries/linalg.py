@@ -10,6 +10,7 @@ runs on packed rows: one Python int per row, one slot per column, reduced
 mod p only when read (Dumas, Fousse and Salvy, J. Symb. Comput. 2011;
 delayed reduction as in FFLAS/FFPACK).  A slot gains at most (p-1)^2 per
 pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits never overflow.
+rref_mod_p back-substitutes on the same packed rows.
 """
 
 from __future__ import annotations
@@ -67,6 +68,21 @@ def require_prime(p: int) -> int:
 # dense matrices over F_p
 # ---------------------------------------------------------------------------
 
+def _slot_width(nrows, p):
+    """Bits per packed slot: a slot starts below p and gains at most
+    (p-1)^2 per update, nrows updates at most, so it stays below
+    nrows (p-1)^2 + p < 2^(w-1) and never carries into the next."""
+    return (nrows * (p - 1) ** 2 + p).bit_length() + 1
+
+
+def _pack(row, w, p):
+    """One int with a w-bit slot per entry, row[0] lowest."""
+    x = 0
+    for v in reversed(row):
+        x = x << w | v % p
+    return x
+
+
 def echelon_mod_p(rows, p):
     """Row echelon form over F_p by forward elimination in column order:
     (echelon_rows, pivot_columns).  Rows are not normalised, nothing above
@@ -75,24 +91,16 @@ def echelon_mod_p(rows, p):
     there, swapped with the first remaining row.  The pivots below column
     c count the rank of the first c columns (the column rank profile).
 
-    Each remaining row is one int with a slot of w = (nrows (p-1)^2 +
-    p).bit_length() + 1 bits per remaining column, the current column
-    lowest, so an entry reads as (x & mask) % p.  A pivot row b is
-    unpacked and reduced once, each row below it gains (-f/pivot mod p) b,
-    and x >> w drops the column, whose slot then holds a multiple of p.
-    A slot starts below p and gains at most (p-1)^2 per pivot, so it stays
-    below nrows (p-1)^2 + p < 2^(w-1): no slot carries into the next."""
+    Each remaining row is one int with a slot of w = _slot_width(nrows, p)
+    bits per remaining column, the current column lowest, so an entry
+    reads as (x & mask) % p.  A pivot row b is unpacked and reduced once,
+    each row below it gains (-f/pivot mod p) b, and x >> w drops the
+    column, whose slot then holds a multiple of p.  A row takes at most
+    one update per pivot above it."""
     ncols = len(rows[0]) if rows else 0
-    w = (len(rows) * (p - 1) ** 2 + p).bit_length() + 1
+    w = _slot_width(len(rows), p)
     mask = (1 << w) - 1
-
-    def pack(row):
-        x = 0
-        for v in reversed(row):
-            x = x << w | v % p
-        return x
-
-    live = [x for x in map(pack, rows) if x]
+    live = [x for x in (_pack(row, w, p) for row in rows) if x]
     echelon, pivots = [], []
     for col in range(ncols):
         for i, x in enumerate(live):
@@ -106,7 +114,7 @@ def echelon_mod_p(rows, p):
         slots = [b >> s & mask for s in range(0, b.bit_length(), w)]
         prow = [v % p for v in slots]
         if prow != slots:
-            b = pack(prow)
+            b = _pack(prow, w, p)
         neg_inv = p - pow(prow[0], -1, p)
         live = [(x + f * neg_inv % p * b) >> w if (f := x & mask) else x >> w
                 for x in live[1:]]
@@ -120,17 +128,31 @@ def rref_mod_p(rows, p):
 
     Returns (rref_rows, pivot_columns); input is not mutated.  The RREF of a
     span is unique, so equality of spans is equality of these outputs.
-    """
-    rows, pivots = echelon_mod_p(rows, p)
-    for r in range(len(rows) - 1, -1, -1):
+
+    The echelon rows are back-reduced bottom-up as packed ints with
+    echelon_mod_p's slots, column 0 lowest.  Row r takes updates only from
+    the rows below it, so on its turn it is final: it is unpacked, reduced
+    and normalised once, and each row above it gains (p - f) times it, f
+    that row's entry at the pivot.  A row takes at most one update per
+    pivot below it."""
+    echelon, pivots = echelon_mod_p(rows, p)
+    ncols = len(rows[0]) if rows else 0
+    w = _slot_width(len(echelon), p)
+    mask = (1 << w) - 1
+    packed = [_pack(row, w, p) for row in echelon]
+    out = [None] * len(echelon)
+    for r in range(len(echelon) - 1, -1, -1):
         col = pivots[r]
-        inv = pow(rows[r][col], -1, p)
-        prow = rows[r] = [v * inv % p for v in rows[r]]
+        x = packed[r] >> col * w
+        slots = [x >> s & mask for s in range(0, x.bit_length(), w)]
+        inv = pow(slots[0], -1, p)
+        prow = [v * inv % p for v in slots]
+        out[r] = [0] * col + prow + [0] * (ncols - col - len(prow))
+        b = _pack(prow, w, p) << col * w
         for i in range(r):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-    return rows, pivots
+            if f := (packed[i] >> col * w & mask) % p:
+                packed[i] += (p - f) * b
+    return out, pivots
 
 
 def rank_mod_p(rows, p) -> int:

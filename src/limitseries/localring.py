@@ -196,8 +196,10 @@ class Element:
 def _sp_inv(u, n, p):
     """Inverse of a unit power series (u[0] != 0) modulo t^n."""
     inv0 = pow(u[0], -1, p)
-    out = {0: inv0}
     supp = sorted(e for e in u if e > 0)
+    if not supp:
+        return {0: inv0}
+    out = {0: inv0}
     for k in range(1, n):
         acc = 0
         for j in supp:

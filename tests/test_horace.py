@@ -1,4 +1,7 @@
+import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +13,17 @@ from limitseries.horace import (LineSystemModel, OracleScene,
                                 build_nagata_plan, hypothesis_check,
                                 limit_inclusion_check, nagata_certificate,
                                 slice_degree_table, validate_plan)
+from limitseries.hilbert import critical_degree
 from limitseries.interp import monomials_of_degree_at_most
 from limitseries.linalg import kernel_mod_p
 from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
                                    suppress_tuple)
 
-from util import plain_rref_mod_p
+from util import plain_hypothesis_dims, plain_rref_mod_p
 
 P = 1000003
+BENCH_PLANS = (Path(__file__).resolve().parents[1] / "bench"
+               / "limit_plans.json")
 
 
 def simple_plan(shapes, speeds, levels):
@@ -157,6 +163,96 @@ class TestHypothesisCheck:
         model = LineSystemModel(degree=3, line_base_degrees=(4,))
         with pytest.raises(ValueError):
             hypothesis_check(plan, model, "oracle")
+
+
+def bench_limit_items(seed):
+    """The plans of bench/limit_plans.json in the scenes and check seeds the
+    benchmark's limit workload draws for seed: (plan, model, scene, seed)."""
+    with open(BENCH_PLANS) as fh:
+        catalogue = json.load(fh)
+    rng = random.Random(f"limit:{seed}")
+    for spec in catalogue["plans"]:
+        plan = simple_plan([make_staircase(h) for h in spec["shapes"]],
+                           spec["speeds"], spec["levels"])
+        div = tuple(spec["divisor_base"])
+        model = LineSystemModel(
+            degree=spec["degree"],
+            line_base_degrees=tuple(sum(max(0, M - i) for M in div)
+                                    for i in range(plan.r)))
+        scene = OracleScene(divisor_base=div,
+                            ambient_base=tuple(spec["ambient_base"]),
+                            prime=catalogue["prime"],
+                            seed=rng.randrange(2**31))
+        yield plan, model, scene, rng.randrange(2**31)
+
+
+def nagata_items():
+    """Nagata plans for 4 <= k <= 6, m <= 3 at the critical degree of the
+    k-stage scheme, in the k-point divisor scene."""
+    for k in (4, 5, 6):
+        for m in (1, 2, 3):
+            s = critical_degree(k * k * m * (m + 1) // 2) - k * m
+            plan, model = build_nagata_plan(k, m, s)
+            yield plan, model, nagata_scene(k, m), 1
+
+
+def edge_items():
+    """Plans at the edges of the one-elimination reading."""
+    fat2, one = regular(2), make_staircase([1])
+
+    def item(shapes, speeds, levels, d, divisor, ambient=(), p=P, seed=3):
+        return (simple_plan(shapes, speeds, levels), LineSystemModel(d, ()),
+                OracleScene(divisor_base=divisor, ambient_base=ambient,
+                            prime=p, seed=seed), seed)
+
+    return [
+        # M - i <= 0 at levels 2 and 3, at a large and a small prime
+        item([fat2], (2,), (5, 3, 1), 5, (1, 3, 2), (1,)),
+        item([fat2], (2,), (5, 3, 1), 5, (1, 3, 2), (1,), p=13),
+        # no slice at level 1 (t beyond both shapes), one at level 2
+        item([one, fat2], (3, 1), (5, 2), 3, (2, 2), (1,)),
+        # d - i < 0 at the last level, and at the last two
+        item([fat2], (1,), (4, 2, 1), 2, (2, 1)),
+        item([fat2], (1,), (5, 3, 1), 1, (2,)),
+        # the hypothesis fails, with and without base points
+        item([one], (1,), (1,), 3, ()),
+        item([fat2, one], (1, 2), (4, 2), 5, (3,), (2, 2)),
+    ]
+
+
+class TestHypothesisCheckAgreesWithPlain:
+    """The oracle hypothesis check reads every level off one elimination per
+    trial; plain_hypothesis_dims builds and eliminates both systems of every
+    level.  Verdicts must be identical."""
+
+    @staticmethod
+    def agree(plan, model, scene, seed, trials=2):
+        got = hypothesis_check(plan, model, "oracle", scene, trials, seed)
+        plain = plain_hypothesis_dims(plan, model, scene, trials, seed)
+        assert got == [{"level": i, "mode": "oracle", "ok": a == b,
+                        "dim_with_z": a, "dim_next": b}
+                       for i, (a, b) in enumerate(plain, 1)]
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_limit_plans(self, seed):
+        items = list(bench_limit_items(seed))
+        assert len(items) == 36
+        for item in items:
+            assert all(v["ok"] for v in self.agree(*item))
+
+    def test_nagata_plans(self):
+        for plan, model, scene, seed in nagata_items():
+            assert all(v["ok"] for v in self.agree(plan, model, scene, seed,
+                                                   trials=1))
+
+    def test_edge_cases(self):
+        verdicts = [self.agree(*item, trials=3) for item in edge_items()]
+        flat = [v for vs in verdicts for v in vs]
+        # the corpus reaches every edge it is there for
+        assert any(v["dim_with_z"] == v["dim_next"] == 0 for v in flat)
+        assert any(not v["ok"] for v in flat)
+        assert any(v["ok"] and v["dim_next"] > 0 for v in flat)
 
 
 class TestApplyTheorem:

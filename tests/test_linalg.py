@@ -10,7 +10,8 @@ from limitseries.linalg import (DEFAULT_PRIME, echelon_mod_p, is_prime,
                                 rref_mod_p)
 from limitseries.localring import _sp_inv
 
-from util import (matrix_corpus, nagata_conditions, plain_echelon_mod_p,
+from util import (back_substitution_staircase, matrix_corpus,
+                  nagata_conditions, plain_echelon_mod_p,
                   plain_kernel_mod_p, plain_rank_mod_p, plain_rref_mod_p,
                   slot_stress_corpus)
 
@@ -95,6 +96,14 @@ def test_eliminator_agrees_with_plain_elimination(p):
 def test_packed_slots_hold_the_largest_updates(p):
     for rows in slot_stress_corpus(p):
         assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
+        assert rref_mod_p(rows, p) == plain_rref_mod_p(rows, p)
+    # the back-substitution staircase: reduced rows are p - 1 in every
+    # free column, and the forward pass leaves it as it is
+    rows = back_substitution_staircase(p, 40, 3)
+    rref, pivots = rref_mod_p(rows, p)
+    assert echelon_mod_p(rows, p) == (rows, list(range(40)))
+    assert pivots == list(range(40))
+    assert all(row[40:] == [p - 1] * 3 for row in rref)
 
 
 def test_kernel_mod_p():
@@ -120,6 +129,26 @@ def test_series_inverse():
     inv = _sp_inv(u, 8, P)
     dense = [inv.get(e, 0) for e in range(max(inv) + 1)]
     assert pmul([1, 3, 5], dense, P, trunc=8) == [1]
+
+
+@pytest.mark.parametrize("p", [2, 7, P, DEFAULT_PRIME])
+def test_series_inverse_of_seeded_units(p):
+    # u * u^-1 = 1 mod t^n, for constant units (the fast path) and units
+    # with terms up to and beyond t^n
+    rng = random.Random(p)
+    for n in range(1, 12):
+        for top in (0, 1, n // 2, n + 2):
+            u = {e: rng.randrange(p) for e in range(1, top + 1)
+                 if rng.random() < 0.7}
+            u = {e: c for e, c in u.items() if c}
+            u[0] = rng.randrange(1, p)
+            inv = _sp_inv(u, n, p)
+            assert all(c % p for c in inv.values()) and max(inv) < n
+            dense_u = [u.get(e, 0) for e in range(max(u) + 1)]
+            dense_inv = [inv.get(e, 0) for e in range(max(inv) + 1)]
+            assert pmul(dense_u, dense_inv, p, trunc=n) == [1]
+            if top == 0:
+                assert inv == {0: pow(u[0], -1, p)}
 
 
 def generic_rank(rows, rng):

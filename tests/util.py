@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from math import comb
 
+from limitseries import horace
 from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
@@ -185,7 +186,8 @@ def slot_stress_corpus(p, n=40):
     the largest update, (p-1)^2 into each later slot, from every one of
     the n - 1 pivots above them (row k is 1 at column k and p - 1 after
     it; a last row is 1 - j at column j, which is 1 again when column j
-    is reached)."""
+    is reached), and back-substitution staircases that do the same to the
+    slots of rref_mod_p."""
     rng = random.Random(p)
     out = [[[p - 1] * 5 for _ in range(n)], [[p - 1] * n for _ in range(5)],
            [[p - 1] * n for _ in range(n)]]
@@ -198,7 +200,18 @@ def slot_stress_corpus(p, n=40):
     last = [(1 - j) % p for j in range(n)]
     out += [stair + [last], stair + [last] * 3, [row + row for row in stair]
             + [last + last]]
+    out += [back_substitution_staircase(p, n, free)
+            for free in (1, n // 4, n)]
     return out
+
+
+def back_substitution_staircase(p, n, free):
+    """An n x (n + free) echelon matrix whose back-substitution gives every
+    row the largest update, (p-1)^2 into each of the free columns after the
+    pivots, from every one of the pivots below it: row k is 1 at columns
+    k..n-1, so each pivot row is taken p - 1 times, and -(n - k) in the
+    free columns, so every reduced row is p - 1 there."""
+    return [[0] * k + [1] * (n - k) + [(k - n) % p] * free for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +362,32 @@ def per_degree_oracle(sites, d_max, trials, seed, p):
                                                d, p), p)
             for _ in range(trials)))
     return out
+
+
+def plain_hypothesis_dims(plan, model, scene, trials=2, seed=0):
+    """The oracle hypothesis check level by level: per trial and level i,
+    the dimensions of L_(d-i+1)(base_(i-1) + Z_i) and L_(d-i)(base_i), each
+    from its own conditions matrix, the least over trials.  Draws the
+    scenes as hypothesis_check does: the reference its one elimination per
+    trial must match, [(dim_with_z, dim_next), ...]."""
+    p, d = scene.prime, model.degree
+    rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
+    least = [(None, None)] * plan.r
+    for _ in range(max(1, trials)):
+        placed = horace._materialize_scene(plan, scene, rng, p)
+        for i in range(1, plan.r + 1):
+            sites_with = horace._base_sites(placed, i - 1)
+            for E, t, y in zip(plan.shapes, plan.t_vector(i),
+                               placed.sliding_ys):
+                Z = horace._slice_as_plane(E.slice(t))
+                if not Z.is_empty:
+                    sites_with.append(Site(Z, (0, y)))
+            a = horace._system_dim(d - i + 1, sites_with, p)
+            b = horace._system_dim(d - i, horace._base_sites(placed, i), p)
+            a0, b0 = least[i - 1]
+            least[i - 1] = (a if a0 is None else min(a0, a),
+                            b if b0 is None else min(b0, b))
+    return least
 
 
 def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
