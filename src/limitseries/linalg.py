@@ -129,29 +129,30 @@ def rref_mod_p(rows, p):
     Returns (rref_rows, pivot_columns); input is not mutated.  The RREF of a
     span is unique, so equality of spans is equality of these outputs.
 
-    The echelon rows are back-reduced bottom-up as packed ints with
-    echelon_mod_p's slots, column 0 lowest.  Row r takes updates only from
-    the rows below it, so on its turn it is final: it is unpacked, reduced
-    and normalised once, and each row above it gains (p - f) times it, f
-    that row's entry at the pivot.  A row takes at most one update per
-    pivot below it."""
+    The echelon rows are finished bottom-up as packed ints with
+    echelon_mod_p's slots, column 0 lowest.  A finished row is zero at
+    every other pivot column, so row r's entries there are still its
+    echelon entries f: it is packed once, gains (p - f) times each
+    finished row below it, and is then unpacked, reduced and normalised
+    once.  A row takes at most one update per pivot below it."""
     echelon, pivots = echelon_mod_p(rows, p)
     ncols = len(rows[0]) if rows else 0
     w = _slot_width(len(echelon), p)
     mask = (1 << w) - 1
-    packed = [_pack(row, w, p) for row in echelon]
+    finished = []  # (pivot column, packed reduced row)
     out = [None] * len(echelon)
     for r in range(len(echelon) - 1, -1, -1):
-        col = pivots[r]
-        x = packed[r] >> col * w
+        row, col = echelon[r], pivots[r]
+        x = _pack(row[col:], w, p) << col * w
+        for c, b in finished:
+            if f := row[c]:
+                x += (p - f) * b
+        x >>= col * w
         slots = [x >> s & mask for s in range(0, x.bit_length(), w)]
         inv = pow(slots[0], -1, p)
         prow = [v * inv % p for v in slots]
         out[r] = [0] * col + prow + [0] * (ncols - col - len(prow))
-        b = _pack(prow, w, p) << col * w
-        for i in range(r):
-            if f := (packed[i] >> col * w & mask) % p:
-                packed[i] += (p - f) * b
+        finished.append((col, _pack(prow, w, p) << col * w))
     return out, pivots
 
 

@@ -1,5 +1,5 @@
-import json
-import random
+import importlib.util
+import sys
 import time
 from pathlib import Path
 
@@ -22,8 +22,8 @@ from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
 from util import plain_hypothesis_dims, plain_rref_mod_p
 
 P = 1000003
-BENCH_PLANS = (Path(__file__).resolve().parents[1] / "bench"
-               / "limit_plans.json")
+BENCH_WORKLOADS = (Path(__file__).resolve().parents[1] / "bench"
+                   / "workloads.py")
 
 
 def simple_plan(shapes, speeds, levels):
@@ -166,24 +166,16 @@ class TestHypothesisCheck:
 
 
 def bench_limit_items(seed):
-    """The plans of bench/limit_plans.json in the scenes and check seeds the
-    benchmark's limit workload draws for seed: (plan, model, scene, seed)."""
-    with open(BENCH_PLANS) as fh:
-        catalogue = json.load(fh)
-    rng = random.Random(f"limit:{seed}")
-    for spec in catalogue["plans"]:
-        plan = simple_plan([make_staircase(h) for h in spec["shapes"]],
-                           spec["speeds"], spec["levels"])
-        div = tuple(spec["divisor_base"])
-        model = LineSystemModel(
-            degree=spec["degree"],
-            line_base_degrees=tuple(sum(max(0, M - i) for M in div)
-                                    for i in range(plan.r)))
-        scene = OracleScene(divisor_base=div,
-                            ambient_base=tuple(spec["ambient_base"]),
-                            prime=catalogue["prime"],
-                            seed=rng.randrange(2**31))
-        yield plan, model, scene, rng.randrange(2**31)
+    """The 36 plans of bench/limit_plans.json in the scenes and check seeds
+    the benchmark's limit workload draws for seed: (plan, model, scene,
+    seed), read through bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return [item.args for item in workloads.Limit().generate(seed)
+            if item.expect["contained"]]
 
 
 def nagata_items():
@@ -236,7 +228,7 @@ class TestHypothesisCheckAgreesWithPlain:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bench_limit_plans(self, seed):
-        items = list(bench_limit_items(seed))
+        items = bench_limit_items(seed)
         assert len(items) == 36
         for item in items:
             assert all(v["ok"] for v in self.agree(*item))
