@@ -242,11 +242,10 @@ def _cmd_limit(args) -> int:
                "findings": [f.to_json() for f in findings]}
     mode = "oracle" if args.oracle else "degree-count"
     try:
-        payload["verdicts"] = hypothesis_check(plan, model, mode=mode,
-                                               scene=scene, seed=args.seed)
         cert = apply_theorem(plan, model, mode=mode, scene=scene,
                              allow_boundary=args.allow_boundary,
                              seed=args.seed)
+        payload["verdicts"] = cert.verdicts
         payload["certificate"] = cert.to_json()
         if args.verify_limit:
             contained, details = limit_inclusion_check(plan, model, scene,
@@ -256,6 +255,9 @@ def _cmd_limit(args) -> int:
                 _report_limit(args, payload)
                 return EXIT_CHECK_FAILED
     except (HypothesisFailed, IdentityFailure) as exc:
+        # the certificate carries the verdicts; a refused plan has none
+        payload["verdicts"] = hypothesis_check(plan, model, mode=mode,
+                                               scene=scene, seed=args.seed)
         payload["error"] = str(exc)
         _report_limit(args, payload)
         print(f"check failed: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
-                     OracleResourceLimit, PrimeTooSmall)
+                     LengthMismatch, OracleResourceLimit, PrimeTooSmall)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
@@ -38,7 +38,6 @@ class SpecializationPlan:
     shapes: StaircaseTuple
     speeds: tuple
     levels: tuple
-    divisor_marker: str = "D"
 
     def __post_init__(self):
         shapes = self.shapes if isinstance(self.shapes, StaircaseTuple) \
@@ -93,7 +92,7 @@ class SpecializationPlan:
             "shapes": [E.to_json() for E in self.shapes],
             "speeds": list(self.speeds),
             "levels": list(self.levels),
-            "divisor": self.divisor_marker,
+            "divisor": "D",
         }
 
 
@@ -104,7 +103,6 @@ class LineSystemModel:
 
     degree: int
     line_base_degrees: tuple
-    ambient: str = "P2"
 
     def __post_init__(self):
         object.__setattr__(self, "line_base_degrees",
@@ -115,7 +113,7 @@ class LineSystemModel:
     def to_json(self):
         return {"degree": self.degree,
                 "line_base_degrees": list(self.line_base_degrees),
-                "ambient": self.ambient}
+                "ambient": "P2"}
 
 
 @dataclass(frozen=True)
@@ -516,7 +514,13 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     Returns (contained, details).  residual_override and r_override
     substitute a corrupted residual claim (negative controls: one extra
     suppression must come with one extra divisor copy, otherwise the
-    corrupted target only grows)."""
+    corrupted target only grows).  A residual_override needs one shape
+    per sliding shape of the plan, else LengthMismatch."""
+    if residual_override is not None and \
+            len(residual_override) != len(plan.shapes):
+        raise LengthMismatch(
+            f"residual_override has {len(residual_override)} shapes, "
+            f"the plan slides {len(plan.shapes)}")
     _require_desk_scale(plan, model, scene)
     d = model.degree
     p = scene.prime
@@ -610,6 +614,7 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
             plan, model = build_nagata_plan(j, m, s)
             table = slice_degree_table(plan, j, m, s)
             cert = apply_theorem(plan, model, allow_boundary=True, seed=seed)
+            cert_json = cert.to_json()
             bk = bookkeeping_identity(j, m, s)
             if not bk:
                 identities["bookkeeping"] = False
@@ -625,14 +630,12 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
                 "v": list(plan.speeds),
                 "levels": list(plan.levels),
                 "slice_degrees": table["levels"],
-                "verdicts": cert.verdicts,
-                "residual": [E.to_json() for E in cert.residual],
-                "residual_algebraic": (
-                    None if cert.residual_algebraic is None
-                    else [E.to_json() for E in cert.residual_algebraic]),
-                "boundary_levels": [f.to_json() for f in cert.findings
-                                    if f.code == "BoundaryWarning"],
-                "bookkeeping": cert.bookkeeping,
+                "verdicts": cert_json["verdicts"],
+                "residual": cert_json["residual"],
+                "residual_algebraic": cert_json["residual_algebraic"],
+                "boundary_levels": [f for f in cert_json["findings"]
+                                    if f["code"] == "BoundaryWarning"],
+                "bookkeeping": cert_json["bookkeeping"],
                 "identities": {"slice_degrees": True, "bookkeeping": bk,
                                "line_absorption": absorb,
                                "line_degree": line_deg},

@@ -23,7 +23,7 @@ from math import comb
 
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
-                     InvalidTruncation, PrimeTooSmall, ResourceLimit)
+                     InvalidTruncation, PrimeTooSmall)
 from .linalg import DEFAULT_PRIME, is_prime, rref_mod_p
 from .staircase import Staircase
 
@@ -589,33 +589,25 @@ class FamilyIdeal:
                            tuple(g.truncate_t(n_to) for g in self.generators),
                            self.provenance)
 
-    def span(self, cap=None) -> MonomialSpace:
+    def span(self) -> MonomialSpace:
         """Span of the ideal up to the x-cap (x- and t-monomial multiples)."""
         ctx = self.ctx
-        cap = ctx.x_cap if cap is None else cap
-        n = ctx.t_trunc
+        cap, n = ctx.x_cap, ctx.t_trunc
         if n is None:
             raise ValueError("ideal spans need a finite t-truncation")
-        homog = []
+        graded = []  # (x_2..x_d exponent, (x_1, t) row, x_1-degree)
         for g in self.generators:
             if g.is_zero:
                 continue
             wset = {a[1:] for (a, _te) in g.terms}
-            degs = {a[0] for (a, _te) in g.terms}
             if len(wset) != 1:
-                homog = None
-                break
-            homog.append((next(iter(wset)), max(degs), g))
-        if homog is None:
-            raise ResourceLimit("span of non-graded generators is not supported")
+                raise ValueError("span of non-graded generators is not supported")
+            row = {(a[0], te): c for (a, te), c in g.terms.items() if te < n}
+            graded.append((wset.pop(), row, max(a[0] for a, _te in g.terms)))
         columns = {}
         for w in _exponents_upto(ctx.dim - 1, cap):
-            bases = []
-            for wg, xdeg, g in homog:
-                if len(wg) != len(w) or any(a > b for a, b in zip(wg, w)):
-                    continue
-                bases.append(({(a[0], te): c for (a, te), c in g.terms.items()
-                               if te < n}, xdeg))
+            bases = [(row, xdeg) for wg, row, xdeg in graded
+                     if len(wg) == len(w) and all(a <= b for a, b in zip(wg, w))]
             columns[w] = _shifted_column(ctx.prime, n, cap - sum(w) + 1, bases)
         return MonomialSpace.from_columns(ctx, columns)
 
@@ -641,6 +633,17 @@ def _exponents_upto(arity, total):
     return sorted(out)
 
 
+def _translated_power(h, v, n, shift=0):
+    """t^shift * (x_1 - t^v)^h below t^n, as {(x_1 exponent, t exponent): c}
+    with integer coefficients (every consumer reduces them mod p)."""
+    out = {}
+    for l in range(h + 1):
+        te = shift + v * (h - l)
+        if te < n:
+            out[(l, te)] = comb(h, l) * (-1) ** (h - l)
+    return out
+
+
 def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
     """J(E, v): the ideal of the staircase translated by x_1 -> x_1 - t^v."""
     if v < 1:
@@ -655,12 +658,9 @@ def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
         if ctx.t_trunc is not None and v * c[0] >= ctx.t_trunc and c[0] > 0:
             raise CapExceeded(
                 f"generator x^{c} needs t-degree {v * c[0]} >= {ctx.t_trunc}")
-        terms = {}
-        c1 = c[0]
-        for l in range(c1 + 1):
-            coeff = comb(c1, l) * (-1) ** (c1 - l)
-            terms[((l,) + tuple(c[1:]), v * (c1 - l))] = coeff
-        gens.append(Element(ctx, terms))
+        power = _translated_power(c[0], v, v * c[0] + 1)
+        gens.append(Element(ctx, {((l,) + tuple(c[1:]), te): coeff
+                                  for (l, te), coeff in power.items()}))
     return FamilyIdeal(ctx, tuple(gens), "translated-staircase")
 
 
@@ -678,16 +678,20 @@ def _validate_levels(ns):
     return ns
 
 
+def _headroom(E, k):
+    """x-degree cap a k-level chain of E needs: k colons on top of its
+    largest generator degree and its largest cell degree plus one."""
+    gen_deg = max((sum(c) for c in E.complement_generators()), default=0)
+    fit = max((h + sum(w) for w, h in E.heights.items()), default=0)
+    return k + max(gen_deg, fit)
+
+
 def chain_context(E: Staircase, v: int, ns, prime=DEFAULT_PRIME) -> RingContext:
     """Smallest context with enough x- and t-headroom for the chain."""
     ns = _validate_levels(ns) if ns else []
-    k = len(ns)
-    gens = E.complement_generators()
-    gen_deg = max((sum(c) for c in gens), default=0)
-    fit = max((h + sum(w) for w, h in E.heights.items()), default=0)
-    cap = max(1, k + max(gen_deg, fit))
     n1 = ns[0] if ns else v * E.max_height + 1
-    return RingContext(dim=E.dim, prime=prime, t_trunc=n1, x_cap=cap)
+    return RingContext(dim=E.dim, prime=prime, t_trunc=n1,
+                       x_cap=max(1, _headroom(E, len(ns))))
 
 
 def boundary_columns(E: Staircase, v: int, ns):
@@ -707,9 +711,7 @@ def _chain_columns(E, v, ns, ctx, final_colon):
     if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
         raise InvalidTruncation(
             f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
-    gens = E.complement_generators()
-    need = k + max(max((sum(c) for c in gens), default=0),
-                   max((h + sum(w) for w, h in E.heights.items()), default=0))
+    need = _headroom(E, k)
     if cap < need:
         raise CapExceeded(f"x_cap {cap} below needed headroom {need}")
     hits = boundary_columns(E, v, ns)
@@ -727,12 +729,8 @@ def _chain_columns(E, v, ns, ctx, final_colon):
         if h == 0:
             mod = TModule.full(p, n1, ncoords)
         else:
-            base = {}
-            for l in range(h + 1):
-                te = v * (h - l)
-                if te < n1:
-                    base[(l, te)] = comb(h, l) * (-1) ** (h - l)
-            mod = _shifted_column(p, n1, ncoords, [(base, h)])
+            mod = _shifted_column(p, n1, ncoords,
+                                  [(_translated_power(h, v, n1), h)])
         for idx, n in enumerate(ns):
             mod = mod.truncate(n)
             if idx < k - 1 or final_colon:
@@ -785,47 +783,49 @@ def special_fiber(obj) -> MonomialSpace:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_residual(E: Staircase, v: int, ns, ctx=None) -> FamilyIdeal:
-    """Generators f_m and t^{alpha_{k-i+1}} f_m / x_1^i of the residual
-    chain, by exact division in R_{n_k}.
+def _closed_form_bases(E, v, ns, ctx):
+    """(n_k, {w: rows}) of the closed form, one entry per column w of
+    positive height h.  Its rows are (f_w, h) and (t^alpha f_w / x_1^i,
+    h - i) for i = 1..k, in that order, where f_w = (x_1 - t^v)^h and
+    alpha = max(0, n_{k-i+1} - v*h); each is an {(x_1 exponent, t
+    exponent): c} dict below t^{n_k}, empty when alpha >= n_k.
 
-    alpha_j = max(0, n_j - v*h(m)).  Division is witnessed: any low-order
-    x_1 coefficient that fails to vanish raises DivisionWitnessFailure,
-    which signals a level sequence that breaks the gap rule for this (E,v).
-    """
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
+    Division is witnessed: any low-order x_1 coefficient that fails to
+    vanish raises DivisionWitnessFailure, which signals a level sequence
+    that breaks the gap rule for this (E,v)."""
     ns = _validate_levels(ns) if ns else []
     k = len(ns)
     n_k = ns[-1] if ns else ctx.t_trunc
     if n_k is None:
         raise ValueError("closed form needs a finite t-truncation")
-    ectx = ctx.with_t(n_k)
-    p = ctx.prime
-    gens = []
+    bases = {}
     for w in sorted(E.heights):
         h = E.heights[w]
-        f_terms = {}
-        for l in range(h + 1):
-            te = v * (h - l)
-            if te < n_k:
-                f_terms[((l,) + w, te)] = comb(h, l) * (-1) ** (h - l)
-        gens.append(Element(ectx, f_terms))
+        rows = [(_translated_power(h, v, n_k), h)]
         for i in range(1, k + 1):
             alpha = max(0, ns[k - i] - v * h)
-            num = {}
-            for l in range(h + 1):
-                te = alpha + v * (h - l)
-                if te < n_k:
-                    num[(l, te)] = comb(h, l) * (-1) ** (h - l) % p
+            num = _translated_power(h, v, n_k, alpha)
             bad = [l for (l, _te) in num if l < i]
             if bad:
                 raise DivisionWitnessFailure(
                     f"x_1^{min(bad)} coefficient of t^{alpha} f_{w} survives "
                     f"in R_{n_k}; levels {ns} are invalid for v={v}, h={h}")
-            terms = {((l - i,) + w, te): c for (l, te), c in num.items()}
-            gens.append(Element(ectx, terms))
-    return FamilyIdeal(ectx, tuple(gens), "derived")
+            rows.append(({(l - i, te): c for (l, te), c in num.items()}, h - i))
+        bases[w] = rows
+    return n_k, bases
+
+
+def closed_form_residual(E: Staircase, v: int, ns, ctx=None) -> FamilyIdeal:
+    """Generators f_m and t^{alpha_{k-i+1}} f_m / x_1^i of the residual
+    chain, by exact division in R_{n_k} (see _closed_form_bases).  A
+    generator truncated away entirely stays, as zero."""
+    if ctx is None:
+        ctx = chain_context(E, v, ns)
+    n_k, bases = _closed_form_bases(E, v, ns, ctx)
+    ectx = ctx.with_t(n_k)
+    gens = tuple(Element(ectx, {((j,) + w, te): c for (j, te), c in row.items()})
+                 for w, rows in bases.items() for row, _xdeg in rows)
+    return FamilyIdeal(ectx, gens, "derived")
 
 
 def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
@@ -834,32 +834,18 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     residual_chain output."""
     if ctx is None:
         ctx = chain_context(E, v, ns)
-    ideal = closed_form_residual(E, v, ns, ctx)
-    ns = _validate_levels(ns) if ns else []
-    k = len(ns)
-    n_k = ns[-1] if ns else ctx.t_trunc
+    n_k, bases = _closed_form_bases(E, v, ns, ctx)
     p = ctx.prime
-    cap = ctx.x_cap - k
-    by_col: dict = {}
-    for g in ideal.generators:
-        wset = {a[1:] for (a, _te) in g.terms}
-        if len(wset) != 1:
-            continue  # zero generator fully truncated away
-        w = next(iter(wset))
-        by_col.setdefault(w, []).append(g)
+    cap = ctx.x_cap - len(ns or ())
     columns = {}
     for w in _exponents_upto(E.dim - 1, cap):
         ncoords = cap - sum(w) + 1
-        if E.height(w) == 0:
+        if w in bases:
+            columns[w] = _shifted_column(
+                p, n_k, ncoords, [(row, xdeg) for row, xdeg in bases[w] if row])
+        else:
             columns[w] = TModule.full(p, n_k, ncoords)
-            continue
-        bases = []
-        for g in by_col.get(w, []):
-            base = {(a[0], te): c for (a, te), c in g.terms.items()}
-            bases.append((base, max((j for (j, _te) in base), default=0)))
-        columns[w] = _shifted_column(p, n_k, ncoords, bases)
-    out_ctx = ctx.with_t(n_k).with_cap(cap)
-    return MonomialSpace.from_columns(out_ctx, columns)
+    return MonomialSpace.from_columns(ctx.with_t(n_k).with_cap(cap), columns)
 
 
 # ---------------------------------------------------------------------------

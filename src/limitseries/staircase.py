@@ -68,10 +68,6 @@ class Staircase:
     def max_height(self) -> int:
         return max(self.heights.values(), default=0)
 
-    def support(self):
-        """Base exponents with positive height, sorted."""
-        return sorted(self.heights)
-
     def cells(self):
         """All cells of E as d-tuples, sorted."""
         out = []

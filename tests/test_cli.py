@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from limitseries import cli, horace
 from limitseries.cli import main
 from limitseries.horace import build_nagata_plan
 
@@ -287,6 +288,36 @@ class TestLimitCommand:
         code, out, _ = run(capsys, "limit", str(f), "--verify-limit")
         assert code == 0
         assert "limit inclusion: True" in out
+
+    def test_oracle_run_checks_hypotheses_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a passing run reads its verdicts off the certificate; a refused
+        # plan still reports them next to the error
+        calls = []
+        real = horace.hypothesis_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(horace, "hypothesis_check", counted)
+        monkeypatch.setattr(cli, "hypothesis_check", counted)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(PLAN_OK))
+        code, out, _ = run(capsys, "limit", str(f), "--oracle",
+                           "--verify-limit", "--json")
+        assert code == 0 and len(calls) == 1
+        payload = json.loads(out)
+        assert list(payload) == ["plan", "findings", "verdicts",
+                                 "certificate", "limit_inclusion"]
+        assert payload["verdicts"] == payload["certificate"]["verdicts"]
+        assert all(v["mode"] == "oracle" for v in payload["verdicts"])
+        f.write_text(json.dumps(PLAN_GAP))
+        code, out, _ = run(capsys, "limit", str(f), "--json")
+        payload = json.loads(out)
+        assert code == 1
+        assert list(payload) == ["plan", "findings", "verdicts", "error"]
+        assert [v["level"] for v in payload["verdicts"]] == [1, 2]
 
     def test_gap_violation_exit_1(self, tmp_path, capsys):
         f = tmp_path / "plan.json"

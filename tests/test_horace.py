@@ -7,7 +7,7 @@ import pytest
 
 from limitseries import horace
 from limitseries.errors import (DomainError, HypothesisFailed,
-                                OracleResourceLimit)
+                                LengthMismatch, OracleResourceLimit)
 from limitseries.horace import (LineSystemModel, OracleScene,
                                 SpecializationPlan, apply_theorem,
                                 build_nagata_plan, hypothesis_check,
@@ -418,6 +418,16 @@ class TestLimitInclusion:
                                        residual_override=bad,
                                        r_override=plan.r + 1)
         assert not ok2
+
+
+    def test_override_of_wrong_length_refused(self):
+        # four sliding shapes: a one-shape residual would drop the other
+        # three from the target instead of failing
+        plan, model = build_nagata_plan(5, 2, 1)
+        short = StaircaseTuple([plan.residual_tuple()[0]])
+        with pytest.raises(LengthMismatch, match="1 shapes.*slides 4"):
+            limit_inclusion_check(plan, model, nagata_scene(5, 2), seed=1,
+                                  residual_override=short)
 
 
 class TestNagataCertificate:

@@ -13,15 +13,16 @@ from limitseries.errors import (BoundaryWarning, CapExceeded,
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
                                 padd, pmul, pnorm, rank_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, boundary_columns,
+                                   RingContext, TModule, _translated_power,
+                                   boundary_columns,
                                    chain_context, closed_form_residual,
                                    closed_form_span, colon_x1, flat_limit,
                                    residual_chain, restriction_chain,
                                    special_fiber, translate_ideal, truncate)
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
-from util import (chain_corpus, monomial_span, plain_flat_limit,
-                  random_staircase)
+from util import (chain_corpus, monomial_span, plain_closed_form,
+                  plain_flat_limit, random_staircase)
 
 P = 10007
 
@@ -120,6 +121,13 @@ class TestColon:
         shifted = make_staircase([1])
         assert out == monomial_span(shifted, c.with_cap(5))
 
+    def test_span_refuses_non_graded_generators(self):
+        # an input error, not a resource refusal
+        c = ctx2(t=2, cap=3)
+        g = mono(c, (1, 0)) + mono(c, (0, 1))
+        with pytest.raises(ValueError, match="non-graded"):
+            FamilyIdeal(c, (g,), "derived").span()
+
     def test_principal_x1(self):
         c = ctx2(t=1, cap=4)
         gens = (mono(c, (1, 0)),)
@@ -210,6 +218,36 @@ class TestClosedForm:
         E = make_staircase(2)
         with pytest.raises(DivisionWitnessFailure):
             closed_form_residual(E, 2, [5, 4])
+
+    def test_translated_power_is_the_truncated_product(self):
+        # t^shift * (x_1 - t^v)^h by h Element multiplications below t^n
+        rng = random.Random(12)
+        for _ in range(80):
+            h, v = rng.randint(0, 7), rng.randint(1, 3)
+            n, shift = rng.randint(1, 18), rng.randint(0, 6)
+            c = RingContext(dim=1, prime=P, t_trunc=n, x_cap=8)
+            step = mono(c, (1,)) - mono(c, (0,), te=v)
+            prod = mono(c, (0,), te=shift)
+            for _ in range(h):
+                prod = prod * step
+            power = _translated_power(h, v, n, shift)
+            assert set(power) == {(a[0], te) for a, te in prod.terms}
+            assert Element(c, {((j,), te): x for (j, te), x in power.items()}) \
+                == prod
+
+    def test_generators_keep_truncated_zeros(self):
+        # alpha = 5 - 1 >= n_k = 2: the last generator is zero, and stays
+        E = make_staircase([1])
+        ctx = chain_context(E, 1, [5, 2])
+        gens = closed_form_residual(E, 1, [5, 2], ctx).generators
+        assert [repr(g) for g in gens] == ["-t +x1", "t", "0"]
+        assert gens == plain_closed_form(E, 1, [5, 2], ctx)
+
+    def test_generators_match_element_division_on_corpus(self):
+        for E, v, ns in chain_corpus(seed=5, count=60):
+            ctx = chain_context(E, v, ns)
+            assert closed_form_residual(E, v, ns, ctx).generators == \
+                plain_closed_form(E, v, ns, ctx)
 
     def test_matches_chain_on_small_corpus(self):
         for E, v, ns in chain_corpus(seed=42, count=30, max_cells=12):

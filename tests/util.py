@@ -397,6 +397,31 @@ def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
     return FamilyIdeal(ctx, gens, "derived").span()
 
 
+def plain_closed_form(E: Staircase, v, ns, ctx: RingContext):
+    """closed_form_residual's generators by Element arithmetic: per column
+    w of height h, f = x^w (x_1 - t^v)^h multiplied out in R_{n_k}, then
+    t^alpha f divided by x_1^i term by term for i = 1..k, with alpha =
+    max(0, n_{k-i+1} - v*h); a generator truncated away stays, as zero."""
+    k, n_k = len(ns), ns[-1]
+    ectx = ctx.with_t(n_k)
+    zero = (0,) * E.dim
+    x1 = Element.monomial(ectx, (1,) + zero[1:])
+    gens = []
+    for w in sorted(E.heights):
+        h = E.heights[w]
+        f = Element.monomial(ectx, (0,) + w)
+        for _ in range(h):
+            f = f * (x1 - Element.monomial(ectx, zero, v))
+        gens.append(f)
+        for i in range(1, k + 1):
+            alpha = max(0, ns[k - i] - v * h)
+            num = f * Element.monomial(ectx, zero, alpha)
+            assert all(a[0] >= i for a, _te in num.terms)
+            gens.append(Element(ectx, {((a[0] - i,) + a[1:], te): c
+                                       for (a, te), c in num.terms.items()}))
+    return tuple(gens)
+
+
 def random_staircase(rng, max_cells=20, max_height=8) -> Staircase:
     heights = []
     h = rng.randint(1, max_height)
