@@ -390,12 +390,14 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         return verdicts
     if scene is None:
         raise ValueError("oracle mode needs a scene")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     _require_desk_scale(plan, model, scene)
     p = scene.prime
     require_prime(p)
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
     least = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         placed = _materialize_scene(plan, scene, rng, p)
         dims = _level_dims(plan, placed, model.degree, p)
         least = dims if least is None else [
@@ -515,7 +517,10 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     substitute a corrupted residual claim (negative controls: one extra
     suppression must come with one extra divisor copy, otherwise the
     corrupted target only grows).  A residual_override needs one shape
-    per sliding shape of the plan, else LengthMismatch."""
+    per sliding shape of the plan, else LengthMismatch; a negative
+    r_override raises ValueError."""
+    if r_override is not None and r_override < 0:
+        raise ValueError(f"r_override must be >= 0, got {r_override}")
     if residual_override is not None and \
             len(residual_override) != len(plan.shapes):
         raise LengthMismatch(

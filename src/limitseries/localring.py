@@ -3,6 +3,8 @@
 Everything is tracked up to a total x-degree cap.  Translated monomial
 ideals, the alternating truncate / colon-by-x_1 chains, their closed-form
 generators, special fibers at t=0 and t-adic flat limits all live here.
+Chains are built from ``MonomialSpace.truncate`` and ``colon_x1`` alone,
+and the special fiber at t=0 is the truncation to t^1.
 
 All ideals and modules in the chain are graded by the x_2..x_d exponent
 (truncation and colon-by-x_1 both preserve that multidegree), so spans are
@@ -147,10 +149,6 @@ class Element:
             raise InvalidTruncation(f"cannot truncate from t^{cur} to t^{n_to}")
         return Element(self.ctx.with_t(n_to),
                        {k: c for k, c in self.terms.items() if k[1] < n_to})
-
-    def subs_t0(self):
-        return Element(self.ctx.with_t(1),
-                       {k: c for k, c in self.terms.items() if k[1] == 0})
 
     def to_json(self):
         return [[list(a), b, c] for (a, b), c in sorted(self.terms.items())]
@@ -348,8 +346,6 @@ class TModule:
     # -- operations --------------------------------------------------------------
 
     def truncate(self, n_to):
-        if n_to > self.n:
-            raise InvalidTruncation(f"cannot truncate from t^{self.n} to t^{n_to}")
         if n_to == self.n:
             return self
         if self.is_full:
@@ -358,8 +354,6 @@ class TModule:
 
     def colon(self):
         """{g : x_1 * g in M}, one coordinate fewer."""
-        if self.ncoords == 0:
-            raise CapExhausted("no x-degree headroom left")
         if self.is_full:
             return TModule.full(self.p, self.n, self.ncoords - 1)
         rows = []
@@ -367,18 +361,6 @@ class TModule:
             if j >= 1:
                 rows.append({(jj - 1, te): c for (jj, te), c in r.items()})
         return TModule.from_rows(self.p, self.n, self.ncoords - 1, rows)
-
-    def fiber_rows(self):
-        """t=0 images of the canonical rows, as dense F_p vectors."""
-        out = []
-        for r in self.rows:
-            vec = [0] * self.ncoords
-            for (jj, te), c in r.items():
-                if te == 0:
-                    vec[jj] = c
-            if any(vec):
-                out.append(vec)
-        return out
 
     def expand_rows(self):
         """An F_p-basis of the module: t^b * row for 0 <= b < n - val."""
@@ -430,6 +412,8 @@ class MonomialSpace:
     A plain space (the result of ``flat_limit`` and ``from_elements``) is
     read-only: it answers dimension, membership, basis and equality, and
     ``truncate``, ``colon_x1`` and ``special_fiber`` raise TypeError on it.
+    A chain is ``truncate(n_1)``, ``colon_x1()``, ``truncate(n_2)``, ...
+    on a graded space, and its special fiber is ``truncate(1)``.
     """
 
     __slots__ = ("ctx", "columns", "rows")
@@ -546,7 +530,8 @@ class MonomialSpace:
             {w: m.truncate(n_to) for w, m in columns.items()})
 
     def colon_x1(self):
-        """{f : x_1 f in span}; the x-cap drops by one."""
+        """{f : x_1 f in span}; the x-cap drops by one, and with it every
+        column that has a single coordinate."""
         columns = self._graded_columns("colon_x1")
         if self.ctx.x_cap < 1:
             raise CapExhausted("x_cap already exhausted")
@@ -555,15 +540,8 @@ class MonomialSpace:
             {w: m.colon() for w, m in columns.items() if m.ncoords > 1})
 
     def special_fiber(self):
-        """Image at t=0, a space over F_p[x]."""
-        columns = self._graded_columns("special_fiber")
-        ctx = self.ctx.with_t(1)
-        cols = {}
-        for w, m in columns.items():
-            rows = [{(j, 0): c for j, c in enumerate(vec) if c}
-                    for vec in m.fiber_rows()]
-            cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords, rows)
-        return MonomialSpace.from_columns(ctx, cols)
+        """Image at t=0, a space over F_p[x]: the truncation to t^1."""
+        return self.truncate(1)
 
     def __repr__(self):
         kind = "graded" if self.columns is not None else "plain"
@@ -591,8 +569,7 @@ class FamilyIdeal:
 
     def span(self) -> MonomialSpace:
         """Span of the ideal up to the x-cap (x- and t-monomial multiples)."""
-        ctx = self.ctx
-        cap, n = ctx.x_cap, ctx.t_trunc
+        n = self.ctx.t_trunc
         if n is None:
             raise ValueError("ideal spans need a finite t-truncation")
         graded = []  # (x_2..x_d exponent, (x_1, t) row, x_1-degree)
@@ -604,12 +581,23 @@ class FamilyIdeal:
                 raise ValueError("span of non-graded generators is not supported")
             row = {(a[0], te): c for (a, te), c in g.terms.items() if te < n}
             graded.append((wset.pop(), row, max(a[0] for a, _te in g.terms)))
-        columns = {}
-        for w in _exponents_upto(ctx.dim - 1, cap):
-            bases = [(row, xdeg) for wg, row, xdeg in graded
-                     if len(wg) == len(w) and all(a <= b for a, b in zip(wg, w))]
-            columns[w] = _shifted_column(ctx.prime, n, cap - sum(w) + 1, bases)
-        return MonomialSpace.from_columns(ctx, columns)
+        return _graded_space(self.ctx, lambda w: [
+            (row, xdeg) for wg, row, xdeg in graded
+            if all(a <= b for a, b in zip(wg, w))])
+
+
+def _graded_space(ctx, bases_of):
+    """Graded space in ctx with a column for every x_2..x_d exponent w
+    within the x-cap: _shifted_column of bases_of(w), or the full module
+    when that is None."""
+    p, n, cap = ctx.prime, ctx.t_trunc, ctx.x_cap
+    columns = {}
+    for w in _exponents_upto(ctx.dim - 1, cap):
+        ncoords = cap - sum(w) + 1
+        bases = bases_of(w)
+        columns[w] = (TModule.full(p, n, ncoords) if bases is None
+                      else _shifted_column(p, n, ncoords, bases))
+    return MonomialSpace.from_columns(ctx, columns)
 
 
 def _shifted_column(p, n, ncoords, bases):
@@ -633,6 +621,11 @@ def _exponents_upto(arity, total):
     return sorted(out)
 
 
+def _require_dim(E, ctx):
+    if E.dim != ctx.dim:
+        raise ValueError("staircase dimension does not match the context")
+
+
 def _translated_power(h, v, n, shift=0):
     """t^shift * (x_1 - t^v)^h below t^n, as {(x_1 exponent, t exponent): c}
     with integer coefficients (every consumer reduces them mod p)."""
@@ -648,8 +641,7 @@ def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
     """J(E, v): the ideal of the staircase translated by x_1 -> x_1 - t^v."""
     if v < 1:
         raise ValueError("speed v must be >= 1")
-    if E.dim != ctx.dim:
-        raise ValueError("staircase dimension does not match the context")
+    _require_dim(E, ctx)
     gens = []
     for c in E.complement_generators():
         if sum(c) > ctx.x_cap:
@@ -705,15 +697,17 @@ def boundary_columns(E: Staircase, v: int, ns):
 
 
 def _chain_columns(E, v, ns, ctx, final_colon):
+    if ctx is None:
+        ctx = chain_context(E, v, ns)
     ns = _validate_levels(ns)
     k = len(ns)
-    p, cap = ctx.prime, ctx.x_cap
+    _require_dim(E, ctx)
     if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
         raise InvalidTruncation(
             f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
     need = _headroom(E, k)
-    if cap < need:
-        raise CapExceeded(f"x_cap {cap} below needed headroom {need}")
+    if ctx.x_cap < need:
+        raise CapExceeded(f"x_cap {ctx.x_cap} below needed headroom {need}")
     hits = boundary_columns(E, v, ns)
     if hits:
         warnings.warn(
@@ -721,41 +715,25 @@ def _chain_columns(E, v, ns, ctx, final_colon):
             f"v*h at columns {sorted({w for w, _h, _n in hits})}",
             BoundaryWarning, stacklevel=3)
 
-    n1 = ns[0]
-    columns = {}
-    for w in _exponents_upto(E.dim - 1, cap):
-        ncoords = cap - sum(w) + 1
-        h = E.height(w)
-        if h == 0:
-            mod = TModule.full(p, n1, ncoords)
-        else:
-            mod = _shifted_column(p, n1, ncoords,
-                                  [(_translated_power(h, v, n1), h)])
-        for idx, n in enumerate(ns):
-            mod = mod.truncate(n)
-            if idx < k - 1 or final_colon:
-                if mod.ncoords == 0:
-                    break  # column falls outside the final cap
-                mod = mod.colon()
-        columns[w] = mod
-    colons = k if final_colon else k - 1
-    ctx_out = ctx.with_t(ns[-1]).with_cap(cap - colons)
-    columns = {w: m for w, m in columns.items() if m.ncoords > 0}
-    return MonomialSpace.from_columns(ctx_out, columns)
+    n1, heights = ns[0], E.heights
+    space = _graded_space(ctx.with_t(n1), lambda w: [
+        (_translated_power(heights[w], v, n1), heights[w])]
+        if w in heights else None)
+    for idx, n in enumerate(ns):
+        space = space.truncate(n)
+        if idx < k - 1 or final_colon:
+            space = space.colon_x1()
+    return space
 
 
 def restriction_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """J_{n_1:...:n_k}: alternating truncations and colons, ending on a
     truncation (k restrictions, k-1 colons)."""
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
     return _chain_columns(E, v, ns, ctx, final_colon=False)
 
 
 def residual_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """J_{n_1:...:n_k:}: same chain with the final colon applied."""
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
     return _chain_columns(E, v, ns, ctx, final_colon=True)
 
 
@@ -770,12 +748,9 @@ def colon_x1(space: MonomialSpace) -> MonomialSpace:
 
 
 def special_fiber(obj) -> MonomialSpace:
-    """Set t = 0."""
-    if isinstance(obj, FamilyIdeal):
-        fibers = [g.subs_t0() for g in obj.generators]
-        fiber_ideal = FamilyIdeal(obj.ctx.with_t(1), tuple(fibers), obj.provenance)
-        return fiber_ideal.span()
-    return obj.special_fiber()
+    """Set t = 0: truncate to t^1 (and span, for a FamilyIdeal)."""
+    fiber = obj.truncate(1)
+    return fiber.span() if isinstance(obj, FamilyIdeal) else fiber
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +768,7 @@ def _closed_form_bases(E, v, ns, ctx):
     Division is witnessed: any low-order x_1 coefficient that fails to
     vanish raises DivisionWitnessFailure, which signals a level sequence
     that breaks the gap rule for this (E,v)."""
+    _require_dim(E, ctx)
     ns = _validate_levels(ns) if ns else []
     k = len(ns)
     n_k = ns[-1] if ns else ctx.t_trunc
@@ -835,17 +811,10 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     if ctx is None:
         ctx = chain_context(E, v, ns)
     n_k, bases = _closed_form_bases(E, v, ns, ctx)
-    p = ctx.prime
-    cap = ctx.x_cap - len(ns or ())
-    columns = {}
-    for w in _exponents_upto(E.dim - 1, cap):
-        ncoords = cap - sum(w) + 1
-        if w in bases:
-            columns[w] = _shifted_column(
-                p, n_k, ncoords, [(row, xdeg) for row, xdeg in bases[w] if row])
-        else:
-            columns[w] = TModule.full(p, n_k, ncoords)
-    return MonomialSpace.from_columns(ctx.with_t(n_k).with_cap(cap), columns)
+    return _graded_space(
+        ctx.with_t(n_k).with_cap(ctx.x_cap - len(ns or ())),
+        lambda w: [(row, xdeg) for row, xdeg in bases[w] if row]
+        if w in bases else None)
 
 
 # ---------------------------------------------------------------------------

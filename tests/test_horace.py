@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -19,11 +16,9 @@ from limitseries.linalg import kernel_mod_p
 from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
                                    suppress_tuple)
 
-from util import plain_hypothesis_dims, plain_rref_mod_p
+from util import bench_workloads, plain_hypothesis_dims, plain_rref_mod_p
 
 P = 1000003
-BENCH_WORKLOADS = (Path(__file__).resolve().parents[1] / "bench"
-                   / "workloads.py")
 
 
 def simple_plan(shapes, speeds, levels):
@@ -164,17 +159,23 @@ class TestHypothesisCheck:
         with pytest.raises(ValueError):
             hypothesis_check(plan, model, "oracle")
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_oracle_trials_below_one_refused(self, trials):
+        # as hilbert_function_of and verify_nagata_theorem refuse them
+        plan, model = build_nagata_plan(4, 1, 1)
+        scene = nagata_scene(4, 1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            hypothesis_check(plan, model, "oracle", scene, trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            apply_theorem(plan, model, "oracle", scene, allow_boundary=True,
+                          trials=trials)
+
 
 def bench_limit_items(seed):
     """The 36 plans of bench/limit_plans.json in the scenes and check seeds
     the benchmark's limit workload draws for seed: (plan, model, scene,
     seed), read through bench/workloads.py."""
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH_WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look it up there
-    spec.loader.exec_module(workloads)
-    return [item.args for item in workloads.Limit().generate(seed)
+    return [item.args for item in bench_workloads().Limit().generate(seed)
             if item.expect["contained"]]
 
 
@@ -419,6 +420,13 @@ class TestLimitInclusion:
                                        r_override=plan.r + 1)
         assert not ok2
 
+    def test_negative_r_override_refused(self):
+        # r = -1 would shift the target by x^-1, drop its x^0 monomials and
+        # read contained True with dim_target 8 > dim_limit 5
+        plan, model = build_nagata_plan(4, 1, 1)
+        with pytest.raises(ValueError, match="r_override must be >= 0"):
+            limit_inclusion_check(plan, model, nagata_scene(4, 1), seed=1,
+                                  r_override=-1)
 
     def test_override_of_wrong_length_refused(self):
         # four sliding shapes: a one-shape residual would drop the other

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from itertools import product
@@ -21,8 +22,9 @@ from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    special_fiber, translate_ideal, truncate)
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
-from util import (chain_corpus, monomial_span, plain_closed_form,
-                  plain_flat_limit, random_staircase)
+from util import (bench_pyramid_chains, canonical, chain_corpus,
+                  monomial_span, plain_closed_form, plain_flat_limit,
+                  plain_special_fiber, random_staircase)
 
 P = 10007
 
@@ -197,6 +199,18 @@ class TestResidualChain:
         with pytest.raises(CapExceeded):
             residual_chain(E, 1, [4], tight)
 
+    @pytest.mark.parametrize("build", [residual_chain, restriction_chain,
+                                       closed_form_span])
+    def test_context_of_wrong_dimension_refused(self, build):
+        # a 3-D fat point in a plane context, and a plane staircase in a
+        # 3-D context: the columns would be keyed by the wrong arity
+        pyramid = make_staircase({(b, c): 3 - b - c
+                                  for b in range(3) for c in range(3 - b)})
+        for E, dim in ((pyramid, 2), (regular(2), 3)):
+            ctx = RingContext(dim=dim, prime=P, t_trunc=2, x_cap=10)
+            with pytest.raises(ValueError, match="dimension"):
+                build(E, 1, [2], ctx)
+
 
 class TestClosedForm:
     def test_alpha_example(self):
@@ -277,6 +291,40 @@ class TestSpecialFiber:
             sp = residual_chain(E, 1, [1])
         fib = special_fiber(sp)
         assert fib.contains(Element.one(fib.ctx))  # (1), not I^{S(E,1)} = I^E
+
+    def test_agrees_with_dense_rows(self):
+        # the truncation to t^1 against the t=0 images of the canonical
+        # rows (chains) and against t = 0 in the generators (ideals)
+        for E, v, ns in chain_corpus(seed=21, count=60) + \
+                bench_pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            for obj in (residual_chain(E, v, ns, ctx),
+                        restriction_chain(E, v, ns, ctx),
+                        translate_ideal(E, v, chain_context(E, v, []))):
+                assert canonical(special_fiber(obj)) == \
+                    canonical(plain_special_fiber(obj))
+
+
+class TestChainEngineDigest:
+    """Pins every column of the chain engine's outputs: residual and
+    restriction chains, closed-form spans and special fibers of chains and
+    of translated ideals, on a seeded corpus and the benchmark's pyramids.
+    Any change of a column, t-truncation or x-cap changes the digest."""
+
+    DIGEST = "eadb4647c0e5e428e608f83f10c3d7d6d18eba02d765d44c5cab33f812ddb270"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for E, v, ns in chain_corpus(seed=13, count=60) + \
+                bench_pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            residual = residual_chain(E, v, ns, ctx)
+            ideal = translate_ideal(E, v, chain_context(E, v, []))
+            for space in (residual, restriction_chain(E, v, ns, ctx),
+                          closed_form_span(E, v, ns, ctx),
+                          special_fiber(residual), special_fiber(ideal)):
+                h.update(repr(canonical(space)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestTraceInclusion:

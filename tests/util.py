@@ -2,18 +2,40 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from math import comb
+from pathlib import Path
 
 from limitseries import horace
 from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, _order_key, _sparse_rref)
+                                   RingContext, TModule, _order_key,
+                                   _sparse_rref)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
 
 SECOND_PRIME = 2**31 - 1
+BENCH_WORKLOADS = (Path(__file__).resolve().parents[1] / "bench"
+                   / "workloads.py")
+
+
+def bench_workloads():
+    """bench/workloads.py as a module, so tests run the benchmark's items."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_pyramid_chains(seed=1):
+    """The 12 (E, v, ns) 3-D pyramid chains of the chains workload."""
+    return [item.args for item in bench_workloads().Chains().generate(seed)
+            if item.args[0].dim == 3]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +395,7 @@ def plain_hypothesis_dims(plan, model, scene, trials=2, seed=0):
     p, d = scene.prime, model.degree
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
     least = [(None, None)] * plan.r
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         placed = horace._materialize_scene(plan, scene, rng, p)
         for i in range(1, plan.r + 1):
             sites_with = horace._base_sites(placed, i - 1)
@@ -395,6 +417,39 @@ def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
     gens = tuple(Element(ctx, {(tuple(c), 0): 1})
                  for c in E.complement_generators())
     return FamilyIdeal(ctx, gens, "derived").span()
+
+
+def canonical(space: MonomialSpace):
+    """A graded space's columns by canonical key, with its t-truncation and
+    x-cap: equal exactly when the spaces match column for column."""
+    return (sorted((w, m.key()) for w, m in space.columns.items()),
+            space.ctx.t_trunc, space.ctx.x_cap)
+
+
+def plain_special_fiber(obj) -> MonomialSpace:
+    """Special fiber at t=0 by setting t = 0 in every generator of a
+    FamilyIdeal and spanning, or by re-canonicalising the dense t=0 images
+    of every column's canonical rows: the reference the truncation to t^1
+    must match."""
+    if isinstance(obj, FamilyIdeal):
+        fibers = [Element(obj.ctx.with_t(1),
+                          {k: c for k, c in g.terms.items() if k[1] == 0})
+                  for g in obj.generators]
+        return FamilyIdeal(obj.ctx.with_t(1), tuple(fibers),
+                           obj.provenance).span()
+    ctx = obj.ctx.with_t(1)
+    cols = {}
+    for w, m in obj.columns.items():
+        rows = []
+        for r in m.rows:
+            vec = [0] * m.ncoords
+            for (jj, te), c in r.items():
+                if te == 0:
+                    vec[jj] = c
+            if any(vec):
+                rows.append({(j, 0): c for j, c in enumerate(vec) if c})
+        cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords, rows)
+    return MonomialSpace.from_columns(ctx, cols)
 
 
 def plain_closed_form(E: Staircase, v, ns, ctx: RingContext):
