@@ -6,7 +6,9 @@ the gap condition n_i - n_{i+1} >= max(v_j) and the per-level transparency
 hypothesis, the limit system is contained in the system cut out by r copies
 of D plus the suppressed residual staircases.  This module builds the
 arithmetic side (plans, degree tables, certificates) and, at desk scale,
-verifies the limit inclusion directly through the flat-limit machinery.
+verifies the limit inclusion directly: the fixed base conditions are
+eliminated once over F_p, and only the sliding conditions, read modulo
+them, go through the flat limit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
                      LengthMismatch, OracleResourceLimit, PrimeTooSmall)
@@ -21,8 +24,9 @@ from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
 from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
                      require_desk_scale, verify_nagata_theorem)
-from .linalg import (DEFAULT_PRIME, echelon_mod_p, kernel_mod_p, rank_mod_p,
-                     reduced_kernel, require_prime)
+from .linalg import (DEFAULT_PRIME, _pack, _slot_width, echelon_mod_p,
+                     kernel_mod_p, rank_mod_p, reduced_kernel, require_prime,
+                     rref_mod_p)
 from .localring import RingContext, flat_limit
 from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
 
@@ -250,8 +254,11 @@ def _require_desk_scale(plan, model, scene):
     """Refuse a plan and scene whose matrices can exceed the desk-scale
     budget.  Every conditions matrix built for them has at most the scene's
     fat-point cells plus the shapes' cells as rows and at most the sections
-    of the model degree as columns.  The limit check also builds kernel
-    bases of up to one vector per column, so rows count at least columns."""
+    of the model degree as columns.  The limit check eliminates the base
+    rows once and flat-limits only the sliding rows, on the free columns
+    of the base rows; its kernel bases (the target's, and the limit's on
+    those free columns) hold up to one vector per column, so rows count
+    at least columns."""
     cells = sum(fat_point_degree(M)
                 for M in scene.divisor_base + scene.ambient_base)
     ncols = ambient_sections(model.degree)
@@ -298,6 +305,13 @@ def _residual_system_sites(plan, placed, r, residual):
     return sites
 
 
+def _x_block_columns(d):
+    """The degree-d monomials in x-exponent blocks, highest first: x^d,
+    ..., x^0, y ascending inside a block.  Blocks x^i and up fill the first
+    ambient_sections(d - i) places."""
+    return [(a, b) for a in range(d, -1, -1) for b in range(d - a + 1)]
+
+
 def _system_dim(d, sites, p):
     if d < 0:
         return 0
@@ -316,11 +330,9 @@ def _level_dims(plan, placed, d, p):
     in hypothesis_check)."""
     if not plan.r:
         return []
-    # x^d, ..., x^0, y ascending inside a block: blocks x^i and up fill the
-    # first ambient_sections(d - i) places
-    blocks = [(a, b) for a in range(d, -1, -1) for b in range(d - a + 1)]
     echelon, pivots = echelon_mod_p(
-        conditions_matrix(_base_sites(placed, 0), d, p, blocks), p)
+        conditions_matrix(_base_sites(placed, 0), d, p, _x_block_columns(d)),
+        p)
     dims = []
     for i in range(1, plan.r + 1):
         e = d - i + 1
@@ -508,10 +520,30 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     containment in the span of L(-rD - residual).
 
     Flat limits commute with orthogonal complements, so lim ker A(t) is the
-    annihilator of the limit of A(t)'s row space: the condition rows go
-    through flat_limit as they are, and one kernel over F_p of the limit
-    rows gives the limit system.  The moving system has the same dimension
-    by construction (columns minus the rank of A(t) over F_p(t)).
+    annihilator of the limit of A(t)'s row space.  The rows of A(t) are the
+    base rows B, fixed in t, and the sliding rows S(t): the Horace split of
+    fixed and specialised conditions (Ciliberto and Miranda, "Degenerations
+    of planar linear systems", J. reine angew. Math. 501, 1998).  B lies in
+    every row space, so with pi the quotient by rowspace(B), lim A(t) =
+    pi^-1(lim pi S(t)), and the limit system is the part of K = ker B =
+    L(-base) that the limit of pi S(t) annihilates.
+
+    One elimination of B over F_p, with the columns in x-exponent blocks,
+    highest first, gives its free columns.  That order leaves the free
+    columns in the low x-blocks, where the flat limit of the projected
+    rows measured cheaper than with the total-degree order.  A vector of K
+    is fixed by its free coordinates (K's kernel basis is a unit at each
+    free column), and pi S(t) is S(t) restricted to K, in those
+    coordinates: a free column maps to its own slot, the pivot column of
+    an RREF row to minus that row at the free columns.  The t^e layer of a
+    sliding row is its x^i block, e = v(i - a), so one packed product per
+    layer projects it.  Only these rows go through flat_limit; the limit
+    system is the kernel of its limit rows, in free coordinates.  The
+    target lies in K as well, for any r and residual: at a divisor point
+    of multiplicity M, g vanishes to order M - r and x^r g to order M, and
+    x is a unit at the ambient points.  So containment is one rank on free
+    coordinates, and the moving system has dimension len(free) minus the
+    rank of pi S(t) over F_p(t).
 
     Returns (contained, details).  residual_override and r_override
     substitute a corrupted residual claim (negative controls: one extra
@@ -532,26 +564,48 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     require_prime(p)
     rng = random.Random(f"{seed}:{scene.seed}:limit")
     placed = _materialize_scene(plan, scene, rng, p)
-    cols = monomials_of_degree_at_most(d)
+    cols = _x_block_columns(d)
+    rref, pivots = rref_mod_p(
+        conditions_matrix(_base_sites(placed, 0), d, p, cols), p)
+    pivot_set = set(pivots)
+    free = [col for col in range(len(cols)) if col not in pivot_set]
+    free_mons = [cols[col] for col in free]
+    # the image of each column mod rowspace(B), packed over the free slots;
+    # a slot of a layer sums at most d + 1 products, one per column of the
+    # layer's block, which holds places lo..hi-1
+    w = _slot_width(len(cols), p)
+    mask = (1 << w) - 1
+    image = [0] * len(cols)
+    for slot, col in enumerate(free):
+        image[col] = 1 << slot * w
+    for row, col in zip(rref, pivots):
+        image[col] = _pack([p - row[f] for f in free], w, p)
 
-    # rows of A(t) as {(monomial, t-exponent): c}
-    rows = [{(mon, 0): c for mon, c in zip(cols, row) if c}
-            for row in conditions_matrix(_base_sites(placed, 0), d, p)]
+    # sliding rows of pi S(t) as {(free monomial, t-exponent): c}
+    rows = []
     for E, v, y in zip(plan.shapes, plan.speeds, placed.sliding_ys):
         # the site sits at (t^v, y): its identity-frame rows at (1, y),
         # with the x-power t^(v(i-a)) put back as a shift in t
-        site_rows = conditions_matrix([Site(E, (1, y))], d, p)
+        site_rows = conditions_matrix([Site(E, (1, y))], d, p, cols)
         for (a, _b), row in zip(E.cells(), site_rows):
-            rows.append({((i, j), v * (i - a)): c
-                         for (i, j), c in zip(cols, row) if c})
+            vec = {}
+            for i in range(a, d + 1):
+                lo, hi = ambient_sections(d - i - 1), ambient_sections(d - i)
+                x = sum(map(mul, row[lo:hi], image[lo:hi]))
+                e = v * (i - a)
+                for mon in free_mons:
+                    if c := (x & mask) % p:
+                        vec[(mon, e)] = c
+                    x >>= w
+            rows.append(vec)
     ctx = RingContext(dim=2, prime=p, x_cap=max(d, 1))
     row_limit = flat_limit(rows, ctx)
     # the limit rows come in reduced echelon form: read the kernel off them
-    index = {(mon, 0): j for j, mon in enumerate(cols)}
-    limit = reduced_kernel([[row.get((mon, 0), 0) for mon in cols]
+    index = {(mon, 0): j for j, mon in enumerate(free_mons)}
+    limit = reduced_kernel([[row.get((mon, 0), 0) for mon in free_mons]
                             for row in row_limit.rows.values()],
                            [index[key] for key in row_limit.rows],
-                           len(cols), p)
+                           len(free), p)
 
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \
@@ -562,11 +616,11 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     target = []
     for vec in kernel_mod_p(grows, len(gcols), p):
         shifted = {(i + r, j): c for (i, j), c in zip(gcols, vec)}
-        target.append([shifted.get(mon, 0) for mon in cols])
+        target.append([shifted.get(mon, 0) for mon in free_mons])
 
     contained = rank_mod_p(target + limit, p) == len(target)
     details = {
-        "dim_moving": len(cols) - row_limit.dimension(),
+        "dim_moving": len(free) - row_limit.dimension(),
         "dim_limit": len(limit),
         "dim_target": len(target),
         "r": r,

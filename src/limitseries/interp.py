@@ -114,7 +114,8 @@ def _site_rows(site, position, d, p, cols):
 
     Identity frame: the cell (a, b) is the coefficient of u1^a u2^b in
     f(px + u1, py + u2), on the column x^i y^j the x-factor C(i, a)
-    px^(i-a) times the y-factor C(j, b) py^(j-b).  A frame F is a linear
+    px^(i-a) times the y-factor C(j, b) py^(j-b); the powers and each
+    factor list are computed once per site.  A frame F is a linear
     change of jet, degree by degree: f(P + F u) = sum_beta taylor(beta)
     (F u)^beta, so the row of alpha is the sum over |beta| = |alpha| of
     [u^alpha] (F u)^beta times taylor(beta)."""
@@ -122,12 +123,20 @@ def _site_rows(site, position, d, p, cols):
     cells = site.shape.cells()
     if not cells:
         return []
+    top = max(a + b for a, b in cells)
+
+    def factors(c):
+        # [C(i, e) c^(i-e) for i <= d], one list per e <= top
+        pw = [1]
+        for _ in range(d):
+            pw.append(pw[-1] * c % p)
+        return [[comb(i, e) * pw[i - e] % p if i >= e else 0
+                 for i in range(d + 1)] for e in range(top + 1)]
+
+    xfs, yfs = factors(px), factors(py)
 
     def taylor(a, b):
-        xf = [comb(i, a) * pow(px, i - a, p) % p if i >= a else 0
-              for i in range(d + 1)]
-        yf = [comb(j, b) * pow(py, j - b, p) % p if j >= b else 0
-              for j in range(d + 1)]
+        xf, yf = xfs[a], yfs[b]
         return [xf[i] * yf[j] % p for i, j in cols]
 
     frame = site.frame

@@ -670,12 +670,16 @@ def _validate_levels(ns):
     return ns
 
 
-def _headroom(E, k):
+def _headroom(E, k, ctx=None):
     """x-degree cap a k-level chain of E needs: k colons on top of its
-    largest generator degree and its largest cell degree plus one."""
+    largest generator degree and its largest cell degree plus one.  With a
+    context whose x-cap is below it, raise CapExceeded."""
     gen_deg = max((sum(c) for c in E.complement_generators()), default=0)
     fit = max((h + sum(w) for w, h in E.heights.items()), default=0)
-    return k + max(gen_deg, fit)
+    need = k + max(gen_deg, fit)
+    if ctx is not None and ctx.x_cap < need:
+        raise CapExceeded(f"x_cap {ctx.x_cap} below needed headroom {need}")
+    return need
 
 
 def chain_context(E: Staircase, v: int, ns, prime=DEFAULT_PRIME) -> RingContext:
@@ -705,9 +709,7 @@ def _chain_columns(E, v, ns, ctx, final_colon):
     if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
         raise InvalidTruncation(
             f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
-    need = _headroom(E, k)
-    if ctx.x_cap < need:
-        raise CapExceeded(f"x_cap {ctx.x_cap} below needed headroom {need}")
+    _headroom(E, k, ctx)
     hits = boundary_columns(E, v, ns)
     if hits:
         warnings.warn(
@@ -767,10 +769,12 @@ def _closed_form_bases(E, v, ns, ctx):
 
     Division is witnessed: any low-order x_1 coefficient that fails to
     vanish raises DivisionWitnessFailure, which signals a level sequence
-    that breaks the gap rule for this (E,v)."""
+    that breaks the gap rule for this (E,v).  A context with less x-cap
+    than the chain's headroom raises CapExceeded, as the chain does."""
     _require_dim(E, ctx)
     ns = _validate_levels(ns) if ns else []
     k = len(ns)
+    _headroom(E, k, ctx)
     n_k = ns[-1] if ns else ctx.t_trunc
     if n_k is None:
         raise ValueError("closed form needs a finite t-truncation")

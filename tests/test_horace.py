@@ -10,13 +10,14 @@ from limitseries.horace import (LineSystemModel, OracleScene,
                                 build_nagata_plan, hypothesis_check,
                                 limit_inclusion_check, nagata_certificate,
                                 slice_degree_table, validate_plan)
-from limitseries.hilbert import critical_degree
-from limitseries.interp import monomials_of_degree_at_most
-from limitseries.linalg import kernel_mod_p
+from limitseries.hilbert import ambient_sections, critical_degree
+from limitseries.linalg import kernel_mod_p, rank_mod_p
 from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
                                    suppress_tuple)
 
-from util import bench_workloads, plain_hypothesis_dims, plain_rref_mod_p
+from util import (bench_workloads, plain_hypothesis_dims,
+                  plain_limit_inclusion_check, plain_limit_target,
+                  plain_rref_mod_p)
 
 P = 1000003
 
@@ -354,7 +355,8 @@ class TestLimitInclusion:
                                      (6, 1, 2)])
     def test_limit_kernel_read_off_the_row_limit(self, kms, monkeypatch):
         # the limit system read off flat_limit's reduced rows spans the
-        # kernel of a fresh elimination of those rows
+        # kernel of a fresh elimination of those rows over the free columns
+        # of the base rows, the coordinates the check works in
         seen = {}
 
         def capture(name, fn):
@@ -365,13 +367,18 @@ class TestLimitInclusion:
 
         capture("flat_limit", horace.flat_limit)
         capture("reduced_kernel", horace.reduced_kernel)
+        capture("rref_mod_p", horace.rref_mod_p)
         k, m, _ = kms
         plan, model = build_nagata_plan(*kms)
         limit_inclusion_check(plan, model, nagata_scene(k, m), seed=1)
-        cols = monomials_of_degree_at_most(model.degree)
-        fresh = kernel_mod_p([[row.get((mon, 0), 0) for mon in cols]
+        # the check eliminates the base rows with its columns in x-blocks
+        cols = horace._x_block_columns(model.degree)
+        pivots = set(seen["rref_mod_p"][1])
+        free = [mon for c, mon in enumerate(cols) if c not in pivots]
+        assert len(free) < len(cols)
+        fresh = kernel_mod_p([[row.get((mon, 0), 0) for mon in free]
                               for row in seen["flat_limit"].rows.values()],
-                             len(cols), P)
+                             len(free), P)
         assert len(seen["reduced_kernel"]) == len(fresh)
         assert (plain_rref_mod_p(seen["reduced_kernel"], P)
                 == plain_rref_mod_p(fresh, P))
@@ -436,6 +443,77 @@ class TestLimitInclusion:
         with pytest.raises(LengthMismatch, match="1 shapes.*slides 4"):
             limit_inclusion_check(plan, model, nagata_scene(5, 2), seed=1,
                                   residual_override=short)
+
+
+class TestLimitInclusionAgreesWithPlain:
+    """limit_inclusion_check works modulo the base rows, in the free
+    coordinates of ker B; plain_limit_inclusion_check flat-limits every
+    row over all columns.  (contained, details) must be identical, and
+    every target vector must lie in ker B, where free coordinates fix it."""
+
+    @staticmethod
+    def agree(plan, model, scene, seed, **override):
+        got = limit_inclusion_check(plan, model, scene, seed=seed, **override)
+        assert got == plain_limit_inclusion_check(plan, model, scene, seed,
+                                                  **override)
+        _placed, base, target, _r, _res = plain_limit_target(
+            plan, model, scene, seed, **override)
+        p = scene.prime
+        assert all(sum(b * t for b, t in zip(row, vec)) % p == 0
+                   for row in base for vec in target)
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_limit_plans_and_controls(self, seed):
+        items = bench_workloads().Limit().generate(seed)
+        assert len(items) == 54
+        for item in items:
+            plan, model, scene, check_seed = item.args
+            if item.expect["contained"]:
+                assert self.agree(*item.args)[0]
+            else:
+                bad = suppress_tuple(plan.residual_tuple(),
+                                     (0,) * len(plan.shapes))
+                assert not self.agree(plan, model, scene, check_seed,
+                                      residual_override=bad,
+                                      r_override=plan.r + 1)[0]
+
+    def test_nagata_plans(self):
+        # all but (5,3) and (6,3), at degrees 16 and 20, which take seconds
+        for plan, model, scene, seed in nagata_items():
+            if model.degree <= 14:
+                assert self.agree(plan, model, scene, seed)[0]
+
+    def test_edge_cases(self):
+        fat2, one = regular(2), make_staircase([1])
+        empty = OracleScene(prime=P, seed=3)
+        # a base of full column rank: six simple points on conics
+        full = OracleScene(ambient_base=(1,) * 6, prime=P, seed=2)
+        _, details = self.agree(simple_plan([fat2], (1,), (1,)),
+                                LineSystemModel(3, ()), empty, 3)
+        assert details["dim_moving"] == ambient_sections(3) - 3
+        plan, model = simple_plan([one], (1,), (1,)), LineSystemModel(2, ())
+        _, details = self.agree(plan, model, full, 2)
+        assert details["dim_moving"] == details["dim_limit"] == 0
+        base = plain_limit_target(plan, model, full, 2)[1]
+        assert rank_mod_p(base, P) == ambient_sections(2)
+        # d - r < 0, from the plan and from r_override
+        _, details = self.agree(simple_plan([one], (1,), (3, 2)),
+                                LineSystemModel(1, ()), empty, 4)
+        assert details["dim_target"] == 0
+        self.agree(simple_plan([fat2], (2,), (3, 1)), LineSystemModel(4, ()),
+                   OracleScene(divisor_base=(2, 2), prime=P, seed=11), 11,
+                   r_override=5)
+        # speed 3, one plan contained and one not
+        assert self.agree(simple_plan([fat2], (3,), (4,)),
+                          LineSystemModel(4, ()),
+                          OracleScene(divisor_base=(2, 2), prime=P, seed=6),
+                          6)[0]
+        assert not self.agree(simple_plan([fat2, one], (3, 1), (4,)),
+                              LineSystemModel(5, ()),
+                              OracleScene(divisor_base=(2, 1),
+                                          ambient_base=(2,), prime=P, seed=6),
+                              6)[0]
 
 
 class TestNagataCertificate:

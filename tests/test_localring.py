@@ -199,6 +199,18 @@ class TestResidualChain:
         with pytest.raises(CapExceeded):
             residual_chain(E, 1, [4], tight)
 
+    @pytest.mark.parametrize("build", [residual_chain, closed_form_span,
+                                       closed_form_residual])
+    def test_closed_form_refuses_the_cap_the_chain_refuses(self, build):
+        # at x_cap 2 the closed form once read a dimension-0 span at cap 1
+        tight = RingContext(dim=2, prime=P, t_trunc=4, x_cap=2)
+        with pytest.raises(CapExceeded,
+                           match="x_cap 2 below needed headroom 4"):
+            build(regular(3), 1, [4], tight)
+        roomy = tight.with_cap(4)
+        assert closed_form_span(regular(3), 1, [4], roomy) == \
+            residual_chain(regular(3), 1, [4], roomy)
+
     @pytest.mark.parametrize("build", [residual_chain, restriction_chain,
                                        closed_form_span])
     def test_context_of_wrong_dimension_refused(self, build):

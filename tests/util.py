@@ -11,9 +11,10 @@ from pathlib import Path
 from limitseries import horace
 from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
+from limitseries.linalg import kernel_mod_p, rank_mod_p
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, _order_key,
-                                   _sparse_rref)
+                                   _sparse_rref, flat_limit)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
 
@@ -412,6 +413,62 @@ def plain_hypothesis_dims(plan, model, scene, trials=2, seed=0):
     return least
 
 
+def plain_limit_target(plan, model, scene, seed=0, residual_override=None,
+                       r_override=None):
+    """The scene limit_inclusion_check draws, as (base_rows, target, r,
+    residual): the degree-d base rows over all columns, and x^r times a
+    kernel basis of L_(d-r)(base_r + residual) over all columns."""
+    d, p = model.degree, scene.prime
+    rng = random.Random(f"{seed}:{scene.seed}:limit")
+    placed = horace._materialize_scene(plan, scene, rng, p)
+    cols = monomials_of_degree_at_most(d)
+    base_rows = conditions_matrix(horace._base_sites(placed, 0), d, p)
+    r = plan.r if r_override is None else r_override
+    residual = residual_override if residual_override is not None \
+        else plan.residual_tuple()
+    target_sites = horace._residual_system_sites(plan, placed, r, residual)
+    gcols = monomials_of_degree_at_most(d - r)
+    grows = conditions_matrix(target_sites, d - r, p) if d - r >= 0 else []
+    target = []
+    for vec in kernel_mod_p(grows, len(gcols), p):
+        shifted = {(i + r, j): c for (i, j), c in zip(gcols, vec)}
+        target.append([shifted.get(mon, 0) for mon in cols])
+    return placed, base_rows, target, r, residual
+
+
+def plain_limit_inclusion_check(plan, model, scene, seed=0,
+                                residual_override=None, r_override=None):
+    """The limit check on full rows: every base row and every sliding row
+    of A(t) goes through flat_limit over all the degree-d columns, the
+    limit system is the kernel of the limit rows, and containment is one
+    rank over all columns.  The reference the quotient-first check must
+    match, (contained, details)."""
+    horace._require_desk_scale(plan, model, scene)
+    d, p = model.degree, scene.prime
+    placed, base_rows, target, r, residual = plain_limit_target(
+        plan, model, scene, seed, residual_override, r_override)
+    cols = monomials_of_degree_at_most(d)
+    rows = [{(mon, 0): c for mon, c in zip(cols, row) if c}
+            for row in base_rows]
+    for E, v, y in zip(plan.shapes, plan.speeds, placed.sliding_ys):
+        site_rows = conditions_matrix([Site(E, (1, y))], d, p)
+        for (a, _b), row in zip(E.cells(), site_rows):
+            rows.append({((i, j), v * (i - a)): c
+                         for (i, j), c in zip(cols, row) if c})
+    row_limit = flat_limit(rows, RingContext(dim=2, prime=p, x_cap=max(d, 1)))
+    limit = kernel_mod_p([[row.get((mon, 0), 0) for mon in cols]
+                          for row in row_limit.rows.values()], len(cols), p)
+    contained = rank_mod_p(target + limit, p) == len(target)
+    return contained, {
+        "dim_moving": len(cols) - row_limit.dimension(),
+        "dim_limit": len(limit),
+        "dim_target": len(target),
+        "r": r,
+        "residual": [E.to_json() for E in residual],
+        "contained": contained,
+    }
+
+
 def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
     """Span of the monomial ideal I^E inside the context."""
     gens = tuple(Element(ctx, {(tuple(c), 0): 1})
@@ -550,7 +607,6 @@ def collision_limit_oracle(E: Staircase, F: Staircase, p):
     with initial-segment rows, else None.
     """
     from limitseries.linalg import kernel_over_fpt
-    from limitseries.localring import flat_limit
 
     re = E.row_lengths()
     rf = F.row_lengths()
