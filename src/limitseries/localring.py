@@ -14,6 +14,10 @@ in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
 instead.  A plain space is read-only: dimension, membership, basis and
 equality; truncation, colon and special fiber need the graded layout.
 Howell modules and flat limits share one row format and update, _add_mul.
+Canonicalisation (TModule.from_rows) normalises a row only when it takes a
+pivot slot and cancels every other row against the slot row's exact t^val;
+truncation canonicalises again, and the colon by x_1 reads the canonical
+rows directly (the Howell property below).
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ class Element:
             a = tuple(int(x) for x in a)
             if len(a) != ctx.dim:
                 raise ValueError(f"exponent {a} has wrong arity for dim {ctx.dim}")
+            if min(a) < 0 or b < 0:
+                raise ValueError(f"negative exponent in x^{a} t^{b}")
             if ctx.t_trunc is not None and b >= ctx.t_trunc:
                 continue
             c %= p
@@ -240,6 +246,11 @@ class TModule:
     a pivot coordinate are reduced below that pivot's valuation.  The form
     is unique for a given module, so equality is row equality.  Every row
     operation is the shared update ``_add_mul`` (row += q(t) * other).
+
+    Howell property: for every k, the rows with pivot >= k span the
+    submodule of elements that vanish at coordinates 0..k-1.  Pushing the
+    shadow t^(n-val) * row of each slot row back through the elimination is
+    what gives it; ``colon`` relies on it for k = 1.
     """
 
     __slots__ = ("p", "n", "ncoords", "rows", "pivots", "vals")
@@ -256,10 +267,15 @@ class TModule:
 
     @classmethod
     def from_rows(cls, p, n, ncoords, gen_rows):
-        """Canonicalize arbitrary generating rows (Howell algorithm)."""
+        """Canonicalize arbitrary generating rows (Howell algorithm).
+
+        Entries at t^n and beyond or at coordinates >= ncoords are dropped;
+        a negative coordinate or t-exponent raises ValueError."""
         slots: list = [None] * ncoords  # pivot coordinate -> (row, val)
         pending = []
         for row in gen_rows:
+            if row and min(min(row)[0], min(te for _j, te in row)) < 0:
+                raise ValueError(f"negative coordinate or t-exponent in {row}")
             r = {k: c % p for k, c in row.items()
                  if k[1] < n and k[0] < ncoords and c % p}
             if r:
@@ -267,28 +283,32 @@ class TModule:
 
         while pending:
             row = pending.pop()
-            j = min(k[0] for k in row)
-            e = min(k[1] for k in row if k[0] == j)
-            unit = {k[1] - e: c for k, c in row.items() if k[0] == j}
-            if unit != {0: 1}:
-                # coordinate j becomes exactly t^e: unit * unit^-1 = 1 mod t^n
+            j, e = min(row)  # pivot coordinate and its valuation
+            slot = slots[j]
+            if slot is not None and slot[1] <= e:
+                # the slot row is exactly t^se at j: cancel u(t) t^e there
+                srow, se = slot
+                _add_mul(row, srow, {te - se: -c for (jj, te), c in row.items()
+                                     if jj == j}, n, p)
+                if row:
+                    pending.append(row)
+                continue
+            # row takes the slot: make coordinate j exactly t^e
+            unit = {te - e: c for (jj, te), c in row.items() if jj == j}
+            if len(unit) > 1:
                 row = _add_mul({}, row, _sp_inv(unit, n, p), n, p)
-            if slots[j] is None or e < slots[j][1]:
-                old = slots[j]
-                slots[j] = (row, e)
-                if e > 0:
-                    # t^(n-e) * row, nonzero tail of the annihilator multiple
-                    sh = _add_mul({}, row, {n - e: 1}, n, p)
-                    if sh:
-                        pending.append(sh)
-                if old is None:
-                    continue
-                row, e = old
-            # slot pivot val <= e: cancel coordinate j of row exactly
-            srow, se = slots[j]
-            _add_mul(row, srow, {e - se: p - 1}, n, p)
-            if row:
-                pending.append(row)
+            elif unit[0] != 1:
+                inv = pow(unit[0], -1, p)
+                row = {k: c * inv % p for k, c in row.items()}
+            slots[j] = (row, e)
+            if e > 0:
+                # t^(n-e) * row, nonzero tail of the annihilator multiple
+                sh = {(jj, te + n - e): c for (jj, te), c in row.items()
+                      if te < e}
+                if sh:
+                    pending.append(sh)
+            if slot is not None:
+                pending.append(slot[0])
 
         kept = [(j, s) for j, s in enumerate(slots) if s is not None]
         pivots = [j for j, _s in kept]
@@ -353,14 +373,14 @@ class TModule:
         return TModule.from_rows(self.p, n_to, self.ncoords, self.rows)
 
     def colon(self):
-        """{g : x_1 * g in M}, one coordinate fewer."""
-        if self.is_full:
-            return TModule.full(self.p, self.n, self.ncoords - 1)
-        rows = []
-        for r, j in zip(self.rows, self.pivots):
-            if j >= 1:
-                rows.append({(jj - 1, te): c for (jj, te), c in r.items()})
-        return TModule.from_rows(self.p, self.n, self.ncoords - 1, rows)
+        """{g : x_1 * g in M}, one coordinate fewer: by the Howell property
+        the rows with pivot >= 1, shifted down one coordinate, are already
+        its canonical form."""
+        k = 1 if self.pivots[:1] == [0] else 0  # pivots increase
+        return TModule(self.p, self.n, self.ncoords - 1,
+                       [{(j - 1, te): c for (j, te), c in r.items()}
+                        for r in self.rows[k:]],
+                       [j - 1 for j in self.pivots[k:]], self.vals[k:])
 
     def expand_rows(self):
         """An F_p-basis of the module: t^b * row for 0 <= b < n - val."""

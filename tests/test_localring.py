@@ -1,5 +1,7 @@
 import hashlib
 import random
+import threading
+import time
 import warnings
 from itertools import product
 
@@ -12,7 +14,7 @@ from limitseries.errors import (BoundaryWarning, CapExceeded,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
-                                padd, pmul, pnorm, rank_mod_p)
+                                padd, pmul, pnorm, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, _translated_power,
                                    boundary_columns,
@@ -22,8 +24,9 @@ from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    special_fiber, translate_ideal, truncate)
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
-from util import (bench_pyramid_chains, canonical, chain_corpus,
-                  monomial_span, plain_closed_form, plain_flat_limit,
+from util import (bench_pyramid_chains, bench_workloads, canonical,
+                  chain_corpus, howell_corpus, monomial_span,
+                  plain_closed_form, plain_flat_limit, plain_from_rows,
                   plain_special_fiber, random_staircase)
 
 P = 10007
@@ -35,6 +38,27 @@ def ctx2(t=6, cap=8, p=P):
 
 def mono(ctx, a, te=0, c=1):
     return Element(ctx, {(tuple(a), te): c})
+
+
+def raises_value_error_quickly(fn, limit=0.1):
+    """fn raises ValueError within limit seconds.  It runs in a daemon
+    thread, so a call that loops forever fails this test, not the suite."""
+    box = {}
+
+    def target():
+        start = time.perf_counter()
+        try:
+            fn()
+        except ValueError as exc:
+            box["error"] = exc
+        box["seconds"] = time.perf_counter() - start
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), "call did not return"
+    assert "error" in box, "call returned without ValueError"
+    assert box["seconds"] < limit
 
 
 class TestRingContext:
@@ -58,6 +82,15 @@ class TestElement:
         c = ctx2()
         f = mono(c, (2, 1), te=3, c=5) + mono(c, (0, 0))
         assert Element.from_json(c, f.to_json()) == f
+
+    def test_negative_exponents_refused(self):
+        # a negative x-exponent would make span() loop forever; a negative
+        # t-exponent would print as t and span the full module
+        c = RingContext(dim=1, prime=101, t_trunc=3, x_cap=3)
+        raises_value_error_quickly(
+            lambda: FamilyIdeal(c, (Element.monomial(c, (-1,)),)).span())
+        raises_value_error_quickly(lambda: Element.monomial(c, (1,), -1))
+        raises_value_error_quickly(lambda: mono(ctx2(), (2, -1)))
 
 
 class TestTranslateIdeal:
@@ -691,3 +724,99 @@ class TestHowellModule:
                 assert mod.contains_vector(vec) == member
                 seen.add(member)
         assert seen == {True, False}
+
+
+class TestHowellAgreesWithPlain:
+    """from_rows normalises only the rows that take a slot and cancels the
+    others against the exact t^val of the slot row; plain_from_rows
+    normalises every row it pops.  The Howell form is unique, so rows,
+    pivots and vals must be identical."""
+
+    @staticmethod
+    def same(got, p, n, ncoords, rows):
+        ref = plain_from_rows(p, n, ncoords, rows)
+        assert (got.rows, got.pivots, got.vals) == \
+            (ref.rows, ref.pivots, ref.vals)
+
+    def test_seeded_corpus(self):
+        for p, n, ncoords, rows in howell_corpus(seed=15, count=1000):
+            self.same(TModule.from_rows(p, n, ncoords, rows),
+                      p, n, ncoords, rows)
+
+    def test_bench_chain_inputs(self, monkeypatch):
+        """Every distinct from_rows input of the chains workload at seed 1."""
+        fast = TModule.from_rows.__func__
+        calls = {}
+
+        def recording(cls, p, n, ncoords, gen_rows):
+            gen_rows = [dict(r) for r in gen_rows]
+            out = fast(cls, p, n, ncoords, gen_rows)
+            key = (p, n, ncoords,
+                   tuple(tuple(sorted(r.items())) for r in gen_rows))
+            calls[key] = (out, p, n, ncoords, gen_rows)
+            return out
+
+        monkeypatch.setattr(TModule, "from_rows", classmethod(recording))
+        chains = bench_workloads().Chains()
+        for item in chains.generate(1):
+            assert chains.run(item)[0]
+        monkeypatch.undo()
+        assert len(calls) > 1500
+        for call in calls.values():
+            self.same(*call)
+
+    def test_negative_keys_refused(self):
+        # a negative coordinate would index slots[-1], the last slot
+        raises_value_error_quickly(
+            lambda: TModule.from_rows(101, 3, 3, [{(-1, 0): 1}]))
+        raises_value_error_quickly(
+            lambda: TModule.from_rows(101, 3, 3, [{(0, 0): 1, (1, -1): 1}]))
+
+
+class TestModuleColon:
+    """TModule.colon keeps the canonical rows with pivot >= 1, shifted down
+    one coordinate.  That must equal from_rows of the same rows and the
+    dense {g : x_1 g in M}."""
+
+    @staticmethod
+    def dense_colon(mod):
+        """{g : x_1 g in M} over F_p through kernels: M is the annihilator
+        of its annihilator, so the condition on g is linear.  RREF rows."""
+        p, n, m = mod.p, mod.n, mod.ncoords
+        perp = kernel_mod_p(TestHowellModule._fp_span(mod.rows, n, m, p),
+                            m * n, p)
+        conditions = [[w[(j + 1) * n + te] for j in range(m - 1)
+                       for te in range(n)] for w in perp]
+        return rref_mod_p(kernel_mod_p(conditions, (m - 1) * n, p), p)[0]
+
+    @staticmethod
+    def modules():
+        p, n = 97, 4
+        yield TModule.from_rows(p, n, 3, [{(0, 2): 1, (1, 0): 5}])  # val 2 at 0
+        yield TModule.from_rows(p, n, 3, [{(0, 1): 3, (0, 2): 1, (2, 0): 1},
+                                          {(1, 3): 1}])
+        yield TModule.full(p, n, 4)
+        yield TModule.from_rows(p, n, 4, [])  # the zero module
+        yield TModule.from_rows(p, n, 1, [{(0, 1): 1}])  # one coordinate
+        yield TModule.full(p, n, 1)
+        for p, n, ncoords, rows in howell_corpus(seed=16, count=150):
+            yield TModule.from_rows(p, n, ncoords, rows)
+
+    def test_colon_is_canonical(self):
+        seen = set()
+        for mod in self.modules():
+            out = mod.colon()
+            p, n, m = mod.p, mod.n, mod.ncoords
+            shifted = [{(j - 1, te): c for (j, te), c in r.items()}
+                       for r, j in zip(mod.rows, mod.pivots) if j >= 1]
+            for ref in (TModule.from_rows(p, n, m - 1, shifted),
+                        plain_from_rows(p, n, m - 1, shifted)):
+                assert (out.ncoords, out.rows, out.pivots, out.vals) == \
+                    (ref.ncoords, ref.rows, ref.pivots, ref.vals)
+            assert TestHowellModule._fp_span(out.rows, n, m - 1, p) == \
+                self.dense_colon(mod)
+            seen.add((bool(mod.pivots) and mod.pivots[0] == 0
+                      and mod.vals[0] > 0, mod.is_full, not mod.rows, m == 1))
+        # val > 0 at coordinate 0, full, zero and one-coordinate modules
+        for case in range(4):
+            assert any(s[case] for s in seen)

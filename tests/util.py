@@ -13,8 +13,8 @@ from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
 from limitseries.linalg import kernel_mod_p, rank_mod_p
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _order_key,
-                                   _sparse_rref, flat_limit)
+                                   RingContext, TModule, _add_mul, _order_key,
+                                   _sp_inv, _sparse_rref, flat_limit)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
 
@@ -173,6 +173,95 @@ def plain_flat_limit(family, ctx: RingContext) -> MonomialSpace:
     limit_rows = [{(a, 0): poly[0] for a, poly in bvec.items() if poly.get(0)}
                   for _pivot, bvec in basis]
     return MonomialSpace(ctx.with_t(1), rows=_sparse_rref(limit_rows, p))
+
+
+def plain_from_rows(p, n, ncoords, gen_rows):
+    """Howell canonicalisation that normalises every popped row and cancels
+    a displaced slot row on the spot: the reference TModule.from_rows must
+    match, rows, pivots and vals."""
+    slots: list = [None] * ncoords  # pivot coordinate -> (row, val)
+    pending = []
+    for row in gen_rows:
+        r = {k: c % p for k, c in row.items()
+             if k[1] < n and k[0] < ncoords and c % p}
+        if r:
+            pending.append(r)
+
+    while pending:
+        row = pending.pop()
+        j = min(k[0] for k in row)
+        e = min(k[1] for k in row if k[0] == j)
+        unit = {k[1] - e: c for k, c in row.items() if k[0] == j}
+        if unit != {0: 1}:
+            # coordinate j becomes exactly t^e: unit * unit^-1 = 1 mod t^n
+            row = _add_mul({}, row, _sp_inv(unit, n, p), n, p)
+        if slots[j] is None or e < slots[j][1]:
+            old = slots[j]
+            slots[j] = (row, e)
+            if e > 0:
+                # t^(n-e) * row, nonzero tail of the annihilator multiple
+                sh = _add_mul({}, row, {n - e: 1}, n, p)
+                if sh:
+                    pending.append(sh)
+            if old is None:
+                continue
+            row, e = old
+        # slot pivot val <= e: cancel coordinate j of row exactly
+        srow, se = slots[j]
+        _add_mul(row, srow, {e - se: p - 1}, n, p)
+        if row:
+            pending.append(row)
+
+    kept = [(j, s) for j, s in enumerate(slots) if s is not None]
+    pivots = [j for j, _s in kept]
+    rows = [r for _j, (r, _e) in kept]
+    vals = [e for _j, (_r, e) in kept]
+    # back-reduction: entries at later pivots reduced below their val
+    for i, r in enumerate(rows):
+        for js, es, srow in zip(pivots[i + 1:], vals[i + 1:], rows[i + 1:]):
+            q = {te - es: -c for (jj, te), c in r.items()
+                 if jj == js and te >= es}
+            if q:
+                _add_mul(r, srow, q, n, p)
+    return TModule(p, n, ncoords, rows, pivots, vals)
+
+
+def howell_corpus(seed, count=300):
+    """Seeded (p, n, ncoords, rows) inputs of from_rows, n <= 12 and
+    ncoords <= 10: multi-term units, rows that displace a slot, duplicate
+    rows, zero rows (empty, or every coefficient a multiple of p) and
+    entries at coordinates >= ncoords or t-exponents >= n."""
+    rng = random.Random(seed)
+    primes = (2, 3, 97, 1000003, 2**61 - 1)
+    out = []
+    for idx in range(count):
+        p = primes[idx % len(primes)]
+        n, m = rng.randint(1, 12), rng.randint(1, 10)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            j = rng.randrange(m)
+            row = {}
+            # several t-terms at the pivot coordinate make a multi-term unit
+            for _ in range(rng.randint(1, 3)):
+                row[(j, rng.randrange(n))] = rng.randrange(-3 * p, 3 * p)
+            for _ in range(rng.randint(0, 5)):
+                row[(rng.randrange(m + 2), rng.randrange(n + 2))] = \
+                    rng.randrange(-3 * p, 3 * p)
+            rows.append(row)
+        if rows and rng.random() < 0.3:
+            rows.append(dict(rng.choice(rows)))
+        if rng.random() < 0.2:
+            rows.append({})
+        if rng.random() < 0.2:
+            rows.append({(rng.randrange(m), rng.randrange(n)): p})
+        if n > 1 and rng.random() < 0.4:
+            # popped last to first: a high-valuation row takes the slot of
+            # coordinate j, then a unit row at j displaces it
+            j = rng.randrange(m)
+            rows += [{(j, 0): rng.randrange(1, p), (m - 1, 0): 1},
+                     {(j, rng.randrange(1, n)): 1, (j, n - 1): 1}]
+        out.append((p, n, m, rows))
+    return out
 
 
 def matrix_corpus(seed, p, count=40):
