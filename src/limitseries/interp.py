@@ -25,8 +25,8 @@ from .staircase import Staircase, regular
 # Nagata plans 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s, 88,200
 # 12 s, 126,360 17 s, 243,040 52 s; a one-cell plan at degree 24 (325 x 325)
 # 0.1-21 s for 0-325 simple scene points; the (6,3) oracle table, 70,200
-# entries, one packed elimination per trial: 0.34-0.54 s a trial at
-# p = 2^61 - 1, 0.14-0.21 s at p = 1000003.
+# entries, one packed elimination per trial: 0.25-0.32 s a trial at
+# p = 2^61 - 1, 0.08-0.09 s at p = 1000003.
 DESK_MATRIX_BUDGET = 120_000
 
 
@@ -164,7 +164,12 @@ def _site_rows(site, position, d, p, cols):
 
 
 def _materialize(sites, rng, p):
-    """Fill in generic positions and frames for one trial."""
+    """Fill in generic positions and frames for one trial.  Every site
+    needs its own point of the plane mod p, so more sites than its p^2
+    points are refused before any is drawn."""
+    if len(sites) > p * p:
+        raise PrimeTooSmall(f"prime {p} has {p * p} points in the plane, "
+                            f"fewer than the {len(sites)} sites")
     taken = {s.position for s in sites if s.position is not None}
     out = []
     for site in sites:

@@ -9,8 +9,12 @@ kernel, the sparse forms and each oracle trial's Hilbert function.  It
 runs on packed rows: one Python int per row, one slot per column, reduced
 mod p only when read (Dumas, Fousse and Salvy, J. Symb. Comput. 2011;
 delayed reduction as in FFLAS/FFPACK).  A slot gains at most (p-1)^2 per
-pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits never overflow.
-rref_mod_p back-substitutes on the same packed rows.
+pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits, rounded up to whole
+bytes, never overflow.  rref_mod_p back-substitutes on the echelon's own
+packed rows.  A matrix whose rows are wider than _BYTE_ROUTE_BITS packs
+and unpacks its rows through bytes, in time linear in the row's length;
+narrower ones shift slot by slot, which copies the whole int per slot but
+costs less per slot.
 """
 
 from __future__ import annotations
@@ -68,28 +72,72 @@ def require_prime(p: int) -> int:
 # dense matrices over F_p
 # ---------------------------------------------------------------------------
 
+# rows wider than this many bits (columns x slot width) pack and unpack
+# through bytes.  Measured per row, bytes against shifts, on a 2-core Xeon
+# VM (Python 3.11): at 136-bit slots (p = 2^61 - 1) packing 16 slots takes
+# 2.6 against 2.1 us, 32 slots 7.2 against 7.6 us and 136 slots 28 against
+# 88 us, and unpacking 136 slots 25 against 49 us; at 56-bit slots
+# (p = 1000003, 862 rows) packing 64 slots takes 11.5 against 13.2 us and
+# unpacking 496 slots 77 against 245 us.  Unpacking 56-bit slots by bytes
+# stays slower up to about 100 slots, but a matrix packs every row and
+# unpacks only its pivot rows.
+_BYTE_ROUTE_BITS = 4096
+
+
 def _slot_width(nrows, p):
     """Bits per packed slot: a slot starts below p and gains at most
     (p-1)^2 per update, nrows updates at most, so it stays below
-    nrows (p-1)^2 + p < 2^(w-1) and never carries into the next."""
-    return (nrows * (p - 1) ** 2 + p).bit_length() + 1
+    nrows (p-1)^2 + p < 2^(w-1) and never carries into the next.  w is
+    that bound's bit length plus one, rounded up to whole bytes so that a
+    slot is a whole number of bytes; rounding up only widens the slot,
+    so the bound still holds."""
+    return ((nrows * (p - 1) ** 2 + p).bit_length() + 8) // 8 * 8
 
 
 def _pack(row, w, p):
-    """One int with a w-bit slot per entry, row[0] lowest."""
+    """One int with a w-bit slot per entry, row[0] lowest, by shifts."""
     x = 0
     for v in reversed(row):
         x = x << w | v % p
     return x
 
 
-def echelon_mod_p(rows, p):
-    """Row echelon form over F_p by forward elimination in column order:
-    (echelon_rows, pivot_columns).  Rows are not normalised, nothing above
-    a pivot is eliminated, zero rows are dropped and the input is not
-    mutated.  The pivot of a column is the first remaining row nonzero
-    there, swapped with the first remaining row.  The pivots below column
-    c count the rank of the first c columns (the column rank profile).
+def _pack_bytes(row, w, p):
+    """_pack through one join of w/8-byte little-endian slots."""
+    k = w >> 3
+    return int.from_bytes(b"".join([(v % p).to_bytes(k, "little")
+                                    for v in row]), "little")
+
+
+def _unpack_shifts(x, w):
+    """The w-bit slots of x, lowest first, up to its top nonzero slot."""
+    mask = (1 << w) - 1
+    return [x >> s & mask for s in range(0, x.bit_length(), w)]
+
+
+def _unpack(x, w):
+    """_unpack_shifts through one to_bytes and one int.from_bytes per
+    slot (w a multiple of 8)."""
+    k = w >> 3
+    n = -(-x.bit_length() // w) * k
+    data = x.to_bytes(n, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + k], "little") for i in range(0, n, k)]
+
+
+def _routes(ncols, w):
+    """(pack, unpack) for a matrix of ncols columns in w-bit slots, chosen
+    once per matrix: through bytes above _BYTE_ROUTE_BITS, by shifts at
+    or below it."""
+    if ncols * w > _BYTE_ROUTE_BITS:
+        return _pack_bytes, _unpack
+    return _pack, _unpack_shifts
+
+
+def _echelon_packed(rows, p):
+    """echelon_mod_p's elimination: (echelon_rows, pivot_columns, packed,
+    w), where packed[r] is echelon row r reduced mod p and packed in
+    w-bit slots from its pivot column up, as the elimination built it.
 
     Each remaining row is one int with a slot of w = _slot_width(nrows, p)
     bits per remaining column, the current column lowest, so an entry
@@ -100,8 +148,9 @@ def echelon_mod_p(rows, p):
     ncols = len(rows[0]) if rows else 0
     w = _slot_width(len(rows), p)
     mask = (1 << w) - 1
-    live = [x for x in (_pack(row, w, p) for row in rows) if x]
-    echelon, pivots = [], []
+    pack, unpack = _routes(ncols, w)
+    live = [x for x in (pack(row, w, p) for row in rows) if x]
+    echelon, pivots, packed = [], [], []
     for col in range(ncols):
         for i, x in enumerate(live):
             if (x & mask) % p:
@@ -111,15 +160,27 @@ def echelon_mod_p(rows, p):
             continue
         b = live[i]
         live[i] = live[0]
-        slots = [b >> s & mask for s in range(0, b.bit_length(), w)]
+        slots = unpack(b, w)
         prow = [v % p for v in slots]
         if prow != slots:
-            b = _pack(prow, w, p)
+            b = pack(prow, w, p)
         neg_inv = p - pow(prow[0], -1, p)
         live = [(x + f * neg_inv % p * b) >> w if (f := x & mask) else x >> w
                 for x in live[1:]]
         echelon.append([0] * col + prow + [0] * (ncols - col - len(prow)))
         pivots.append(col)
+        packed.append(b)
+    return echelon, pivots, packed, w
+
+
+def echelon_mod_p(rows, p):
+    """Row echelon form over F_p by forward elimination in column order:
+    (echelon_rows, pivot_columns).  Rows are not normalised, nothing above
+    a pivot is eliminated, zero rows are dropped and the input is not
+    mutated.  The pivot of a column is the first remaining row nonzero
+    there, swapped with the first remaining row.  The pivots below column
+    c count the rank of the first c columns (the column rank profile)."""
+    echelon, pivots, _, _ = _echelon_packed(rows, p)
     return echelon, pivots
 
 
@@ -129,30 +190,30 @@ def rref_mod_p(rows, p):
     Returns (rref_rows, pivot_columns); input is not mutated.  The RREF of a
     span is unique, so equality of spans is equality of these outputs.
 
-    The echelon rows are finished bottom-up as packed ints with
-    echelon_mod_p's slots, column 0 lowest.  A finished row is zero at
-    every other pivot column, so row r's entries there are still its
-    echelon entries f: it is packed once, gains (p - f) times each
-    finished row below it, and is then unpacked, reduced and normalised
-    once.  A row takes at most one update per pivot below it."""
-    echelon, pivots = echelon_mod_p(rows, p)
+    The echelon rows are finished bottom-up as packed ints, column 0
+    lowest, starting from the reduced rows the elimination packed: its
+    slots hold nrows updates, and a row here takes at most one per pivot
+    below it.  A finished row is zero at every other pivot column, so row
+    r's entries there are still its echelon entries f: it gains (p - f)
+    times each finished row below it, and is then unpacked, reduced and
+    normalised once."""
+    echelon, pivots, packed, w = _echelon_packed(rows, p)
     ncols = len(rows[0]) if rows else 0
-    w = _slot_width(len(echelon), p)
-    mask = (1 << w) - 1
+    pack, unpack = _routes(ncols, w)
     finished = []  # (pivot column, packed reduced row)
     out = [None] * len(echelon)
     for r in range(len(echelon) - 1, -1, -1):
         row, col = echelon[r], pivots[r]
-        x = _pack(row[col:], w, p) << col * w
+        x = packed[r] << col * w
         for c, b in finished:
             if f := row[c]:
                 x += (p - f) * b
         x >>= col * w
-        slots = [x >> s & mask for s in range(0, x.bit_length(), w)]
+        slots = unpack(x, w)
         inv = pow(slots[0], -1, p)
         prow = [v * inv % p for v in slots]
         out[r] = [0] * col + prow + [0] * (ncols - col - len(prow))
-        finished.append((col, _pack(prow, w, p) << col * w))
+        finished.append((col, pack(prow, w, p) << col * w))
     return out, pivots
 
 

@@ -26,6 +26,7 @@ import warnings
 from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
+from operator import index
 
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
@@ -84,7 +85,11 @@ class Element:
         p = ctx.prime
         clean = {}
         for (a, b), c in terms.items():
-            a = tuple(int(x) for x in a)
+            try:
+                a, b = tuple(map(index, a)), index(b)
+            except TypeError:
+                raise ValueError(
+                    f"non-integer exponent in x^{a} t^{b}") from None
             if len(a) != ctx.dim:
                 raise ValueError(f"exponent {a} has wrong arity for dim {ctx.dim}")
             if min(a) < 0 or b < 0:
@@ -93,7 +98,7 @@ class Element:
                 continue
             c %= p
             if c:
-                clean[(a, int(b))] = c
+                clean[(a, b)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 

@@ -256,6 +256,7 @@ class TestNagataCommand:
         ("--k", "1", "--m", "1", "--certificate"),
         ("--k", "2", "--m", "1", "--d-max", "-1"),
         ("--k", "2", "--m", "1", "--prime", "3"),
+        ("--k", "3", "--m", "2", "--prime", "2"),
         ("--k", "3", "--m", "2", "--certificate", "--prime", "5"),
         ("--k", "4", "--m", "1", "--certificate", "--d-max", "3"),
         ("--k", "4", "--m", "1", "--certificate", "--trials", "2"),

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from limitseries import interp
@@ -240,3 +242,13 @@ class TestNagataOracle:
     def test_invalid_tables_raise(self, kwargs, error, match):
         with pytest.raises(error, match=match):
             verify_nagata_theorem(2, 2, **kwargs)
+
+    @pytest.mark.parametrize("k,m,prime", [(3, 2, 2), (4, 1, 3)])
+    def test_more_sites_than_points_refused_before_drawing(self, k, m,
+                                                          prime):
+        # k^2 generic sites need k^2 distinct points of the plane mod p;
+        # with fewer, a draw of distinct points could never finish
+        start = time.perf_counter()
+        with pytest.raises(PrimeTooSmall, match=f"{prime * prime} points"):
+            verify_nagata_theorem(k, m, prime=prime)
+        assert time.perf_counter() - start < 1.0

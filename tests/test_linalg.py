@@ -4,7 +4,9 @@ from bisect import bisect_left
 import pytest
 
 from limitseries.errors import PrimeTooSmall
-from limitseries.linalg import (DEFAULT_PRIME, echelon_mod_p, is_prime,
+from limitseries.linalg import (_BYTE_ROUTE_BITS, DEFAULT_PRIME, _pack,
+                                _pack_bytes, _routes, _slot_width, _unpack,
+                                _unpack_shifts, echelon_mod_p, is_prime,
                                 kernel_mod_p, kernel_over_fpt, padd, pmul,
                                 pnorm, psub, rank_mod_p, require_prime,
                                 rref_mod_p)
@@ -94,7 +96,12 @@ def test_eliminator_agrees_with_plain_elimination(p):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1000003, DEFAULT_PRIME])
 def test_packed_slots_hold_the_largest_updates(p):
-    for rows in slot_stress_corpus(p):
+    corpus = slot_stress_corpus(p)
+    # both pack routes are taken
+    widths = {len(rows[0]) * _slot_width(len(rows), p) > _BYTE_ROUTE_BITS
+              for rows in corpus}
+    assert widths == {False, True}
+    for rows in corpus:
         assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
         assert rref_mod_p(rows, p) == plain_rref_mod_p(rows, p)
     # the back-substitution staircase: reduced rows are p - 1 in every
@@ -104,6 +111,30 @@ def test_packed_slots_hold_the_largest_updates(p):
     assert echelon_mod_p(rows, p) == (rows, list(range(40)))
     assert pivots == list(range(40))
     assert all(row[40:] == [p - 1] * 3 for row in rref)
+
+
+@pytest.mark.parametrize("p", [2, 7, 1000003, DEFAULT_PRIME])
+def test_pack_routes_agree_at_the_crossover(p):
+    # rows of the widest shift-route matrix and the narrowest byte-route
+    # one: entries below p, at p - 1, above p and zero (trailing too), and
+    # unreduced slots up to the slot bound 2^(w-1) - 1
+    w = _slot_width(40, p)
+    top = _BYTE_ROUTE_BITS // w
+    assert _routes(top, w) == (_pack, _unpack_shifts)
+    assert _routes(top + 1, w) == (_pack_bytes, _unpack)
+    rng = random.Random(p)
+    for ncols in (top, top + 1):
+        for tail in (0, 3):
+            row = [rng.randrange(p) + rng.choice((0, p)) for _ in
+                   range(ncols - tail - 2)] + [p - 1, 2 * p - 1] + [0] * tail
+            x = _pack(row, w, p)
+            assert _pack_bytes(row, w, p) == x
+            reduced = [v % p for v in row[:ncols - tail]]
+            assert _unpack(x, w) == _unpack_shifts(x, w) == reduced
+            slots = [rng.randrange(1 << w - 1) for _ in range(ncols - 1)]
+            slots.append((1 << w - 1) - 1)
+            x = sum(v << i * w for i, v in enumerate(slots))
+            assert _unpack(x, w) == _unpack_shifts(x, w) == slots
 
 
 def test_kernel_mod_p():

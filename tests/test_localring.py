@@ -92,6 +92,14 @@ class TestElement:
         raises_value_error_quickly(lambda: Element.monomial(c, (1,), -1))
         raises_value_error_quickly(lambda: mono(ctx2(), (2, -1)))
 
+    @pytest.mark.parametrize("xexps,texp", [((1.5,), 0), ((1,), 1.7),
+                                            ((1.5,), 1.7), ((2.0,), 0)])
+    def test_non_integer_exponents_refused(self, xexps, texp):
+        # flooring would turn x1^1.5 t^1.7 into the monomial x1*t
+        c = RingContext(dim=1)
+        with pytest.raises(ValueError, match="non-integer"):
+            Element.monomial(c, xexps, texp)
+
 
 class TestTranslateIdeal:
     def test_simple_point(self):

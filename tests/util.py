@@ -11,7 +11,8 @@ from pathlib import Path
 from limitseries import horace
 from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
-from limitseries.linalg import kernel_mod_p, rank_mod_p
+from limitseries.linalg import (_BYTE_ROUTE_BITS, _slot_width,
+                                kernel_mod_p, rank_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, _add_mul, _order_key,
                                    _sp_inv, _sparse_rref, flat_limit)
@@ -314,6 +315,13 @@ def slot_stress_corpus(p, n=40):
             + [last + last]]
     out += [back_substitution_staircase(p, n, free)
             for free in (1, n // 4, n)]
+    # the forward staircase repeated, and a back-substitution staircase
+    # with as many free columns, at least one slot wider than
+    # _BYTE_ROUTE_BITS: rows that pack and unpack through bytes at every
+    # prime
+    wide = _BYTE_ROUTE_BITS // _slot_width(n, p) + 1
+    out += [[row * -(-wide // n) for row in stair + [last]],
+            back_substitution_staircase(p, n, wide)]
     return out
 
 
