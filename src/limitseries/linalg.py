@@ -9,12 +9,12 @@ kernel, the sparse forms and each oracle trial's Hilbert function.  It
 runs on packed rows: one Python int per row, one slot per column, reduced
 mod p only when read (Dumas, Fousse and Salvy, J. Symb. Comput. 2011;
 delayed reduction as in FFLAS/FFPACK).  A slot gains at most (p-1)^2 per
-pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits, rounded up to whole
-bytes, never overflow.  rref_mod_p back-substitutes on the echelon's own
-packed rows.  A matrix whose rows are wider than _BYTE_ROUTE_BITS packs
-and unpacks its rows through bytes, in time linear in the row's length;
-narrower ones shift slot by slot, which copies the whole int per slot but
-costs less per slot.
+pivot, so (nrows (p-1)^2 + p).bit_length() + 1 bits never overflow.
+rref_mod_p back-substitutes on the echelon's own packed rows.  A matrix
+whose rows are wider than _BYTE_ROUTE_BITS rounds its slots up to whole
+bytes and packs and unpacks its rows through bytes, in time linear in the
+row's length; narrower ones shift slot by slot, which copies the whole
+int per slot but costs less per slot.
 """
 
 from __future__ import annotations
@@ -80,18 +80,18 @@ def require_prime(p: int) -> int:
 # (p = 1000003, 862 rows) packing 64 slots takes 11.5 against 13.2 us and
 # unpacking 496 slots 77 against 245 us.  Unpacking 56-bit slots by bytes
 # stays slower up to about 100 slots, but a matrix packs every row and
-# unpacks only its pivot rows.
+# unpacks only its pivot rows.  End to end, bytes for every matrix left
+# the oracle benchmark as fast as this crossover does but made the limit
+# benchmark, whose matrices have at most 28 columns, 8% slower
+# (BENCH_16.json).
 _BYTE_ROUTE_BITS = 4096
 
 
 def _slot_width(nrows, p):
     """Bits per packed slot: a slot starts below p and gains at most
     (p-1)^2 per update, nrows updates at most, so it stays below
-    nrows (p-1)^2 + p < 2^(w-1) and never carries into the next.  w is
-    that bound's bit length plus one, rounded up to whole bytes so that a
-    slot is a whole number of bytes; rounding up only widens the slot,
-    so the bound still holds."""
-    return ((nrows * (p - 1) ** 2 + p).bit_length() + 8) // 8 * 8
+    nrows (p-1)^2 + p < 2^(w-1) and never carries into the next."""
+    return (nrows * (p - 1) ** 2 + p).bit_length() + 1
 
 
 def _pack(row, w, p):
@@ -103,7 +103,8 @@ def _pack(row, w, p):
 
 
 def _pack_bytes(row, w, p):
-    """_pack through one join of w/8-byte little-endian slots."""
+    """_pack through one join of w/8-byte little-endian slots (w a
+    multiple of 8)."""
     k = w >> 3
     return int.from_bytes(b"".join([(v % p).to_bytes(k, "little")
                                     for v in row]), "little")
@@ -126,29 +127,30 @@ def _unpack(x, w):
 
 
 def _routes(ncols, w):
-    """(pack, unpack) for a matrix of ncols columns in w-bit slots, chosen
-    once per matrix: through bytes above _BYTE_ROUTE_BITS, by shifts at
-    or below it."""
+    """(pack, unpack, width) for a matrix of ncols columns whose slots
+    need w bits, chosen once per matrix: above _BYTE_ROUTE_BITS through
+    bytes, in w rounded up to whole bytes (a wider slot keeps the bound
+    of _slot_width), at or below it by shifts in w bits."""
     if ncols * w > _BYTE_ROUTE_BITS:
-        return _pack_bytes, _unpack
-    return _pack, _unpack_shifts
+        return _pack_bytes, _unpack, -(-w // 8) * 8
+    return _pack, _unpack_shifts, w
 
 
 def _echelon_packed(rows, p):
     """echelon_mod_p's elimination: (echelon_rows, pivot_columns, packed,
-    w), where packed[r] is echelon row r reduced mod p and packed in
-    w-bit slots from its pivot column up, as the elimination built it.
+    route), where route = (pack, unpack, w) is the matrix's _routes and
+    packed[r] is echelon row r reduced mod p and packed in w-bit slots
+    from its pivot column up, as the elimination built it.
 
-    Each remaining row is one int with a slot of w = _slot_width(nrows, p)
-    bits per remaining column, the current column lowest, so an entry
-    reads as (x & mask) % p.  A pivot row b is unpacked and reduced once,
+    Each remaining row is one int with a w-bit slot per remaining column,
+    w at least _slot_width(nrows, p), the current column lowest, so an
+    entry reads as (x & mask) % p.  A pivot row b is unpacked and reduced once,
     each row below it gains (-f/pivot mod p) b, and x >> w drops the
     column, whose slot then holds a multiple of p.  A row takes at most
     one update per pivot above it."""
     ncols = len(rows[0]) if rows else 0
-    w = _slot_width(len(rows), p)
+    route = pack, unpack, w = _routes(ncols, _slot_width(len(rows), p))
     mask = (1 << w) - 1
-    pack, unpack = _routes(ncols, w)
     live = [x for x in (pack(row, w, p) for row in rows) if x]
     echelon, pivots, packed = [], [], []
     for col in range(ncols):
@@ -170,7 +172,7 @@ def _echelon_packed(rows, p):
         echelon.append([0] * col + prow + [0] * (ncols - col - len(prow)))
         pivots.append(col)
         packed.append(b)
-    return echelon, pivots, packed, w
+    return echelon, pivots, packed, route
 
 
 def echelon_mod_p(rows, p):
@@ -197,9 +199,8 @@ def rref_mod_p(rows, p):
     r's entries there are still its echelon entries f: it gains (p - f)
     times each finished row below it, and is then unpacked, reduced and
     normalised once."""
-    echelon, pivots, packed, w = _echelon_packed(rows, p)
+    echelon, pivots, packed, (pack, unpack, w) = _echelon_packed(rows, p)
     ncols = len(rows[0]) if rows else 0
-    pack, unpack = _routes(ncols, w)
     finished = []  # (pivot column, packed reduced row)
     out = [None] * len(echelon)
     for r in range(len(echelon) - 1, -1, -1):

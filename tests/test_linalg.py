@@ -98,9 +98,8 @@ def test_eliminator_agrees_with_plain_elimination(p):
 def test_packed_slots_hold_the_largest_updates(p):
     corpus = slot_stress_corpus(p)
     # both pack routes are taken
-    widths = {len(rows[0]) * _slot_width(len(rows), p) > _BYTE_ROUTE_BITS
-              for rows in corpus}
-    assert widths == {False, True}
+    assert {_routes(len(rows[0]), _slot_width(len(rows), p))[0]
+            for rows in corpus} == {_pack, _pack_bytes}
     for rows in corpus:
         assert echelon_mod_p(rows, p) == plain_echelon_mod_p(rows, p)
         assert rref_mod_p(rows, p) == plain_rref_mod_p(rows, p)
@@ -115,26 +114,29 @@ def test_packed_slots_hold_the_largest_updates(p):
 
 @pytest.mark.parametrize("p", [2, 7, 1000003, DEFAULT_PRIME])
 def test_pack_routes_agree_at_the_crossover(p):
-    # rows of the widest shift-route matrix and the narrowest byte-route
-    # one: entries below p, at p - 1, above p and zero (trailing too), and
-    # unreduced slots up to the slot bound 2^(w-1) - 1
+    # the widest shift-route matrix and the narrowest byte-route one, whose
+    # slots round up to whole bytes: rows with entries below p, at p - 1,
+    # above p and zero (trailing too), and unreduced slots up to the slot
+    # bound 2^(w-1) - 1, round-trip through each route, and the byte route
+    # agrees with shifts at its width
     w = _slot_width(40, p)
     top = _BYTE_ROUTE_BITS // w
-    assert _routes(top, w) == (_pack, _unpack_shifts)
-    assert _routes(top + 1, w) == (_pack_bytes, _unpack)
+    assert _routes(top, w) == (_pack, _unpack_shifts, w)
+    assert _routes(top + 1, w) == (_pack_bytes, _unpack, -(-w // 8) * 8)
     rng = random.Random(p)
     for ncols in (top, top + 1):
+        pack, unpack, width = _routes(ncols, w)
         for tail in (0, 3):
             row = [rng.randrange(p) + rng.choice((0, p)) for _ in
                    range(ncols - tail - 2)] + [p - 1, 2 * p - 1] + [0] * tail
-            x = _pack(row, w, p)
-            assert _pack_bytes(row, w, p) == x
+            x = pack(row, width, p)
+            assert _pack(row, width, p) == x
             reduced = [v % p for v in row[:ncols - tail]]
-            assert _unpack(x, w) == _unpack_shifts(x, w) == reduced
-            slots = [rng.randrange(1 << w - 1) for _ in range(ncols - 1)]
-            slots.append((1 << w - 1) - 1)
-            x = sum(v << i * w for i, v in enumerate(slots))
-            assert _unpack(x, w) == _unpack_shifts(x, w) == slots
+            assert unpack(x, width) == _unpack_shifts(x, width) == reduced
+            slots = [rng.randrange(1 << width - 1) for _ in range(ncols - 1)]
+            slots.append((1 << width - 1) - 1)
+            x = sum(v << i * width for i, v in enumerate(slots))
+            assert unpack(x, width) == _unpack_shifts(x, width) == slots
 
 
 def test_kernel_mod_p():
