@@ -22,13 +22,14 @@ from .errors import (DomainError, HypothesisFailed, IdentityFailure,
                      LengthMismatch, OracleResourceLimit, PrimeTooSmall)
 from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
                       fat_point_degree)
-from .interp import (Site, conditions_matrix, monomials_of_degree_at_most,
-                     require_desk_scale, verify_nagata_theorem)
+from .interp import (Site, conditions_matrix, require_desk_scale,
+                     verify_nagata_theorem)
 from .linalg import (DEFAULT_PRIME, _pack, _slot_width, echelon_mod_p,
                      kernel_mod_p, rank_mod_p, reduced_kernel, require_prime,
                      rref_mod_p)
 from .localring import RingContext, flat_limit
-from .staircase import Staircase, StaircaseTuple, regular, suppress_tuple
+from .staircase import (Staircase, StaircaseTuple, _integer, _integers,
+                        regular, suppress_tuple)
 
 # ---------------------------------------------------------------------------
 # plan and model types
@@ -47,8 +48,8 @@ class SpecializationPlan:
         shapes = self.shapes if isinstance(self.shapes, StaircaseTuple) \
             else StaircaseTuple(self.shapes)
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "speeds", tuple(int(v) for v in self.speeds))
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
+        object.__setattr__(self, "speeds", _integers(self.speeds, "speed"))
+        object.__setattr__(self, "levels", _integers(self.levels, "level"))
         if len(self.speeds) != len(shapes):
             raise ValueError("one speed per shape required")
         if any(v < 1 for v in self.speeds):
@@ -109,8 +110,9 @@ class LineSystemModel:
     line_base_degrees: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
         object.__setattr__(self, "line_base_degrees",
-                           tuple(int(b) for b in self.line_base_degrees))
+                           _integers(self.line_base_degrees, "base degree"))
         if self.degree < 0 or any(b < 0 for b in self.line_base_degrees):
             raise ValueError("degrees must be nonnegative")
 
@@ -531,19 +533,21 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     One elimination of B over F_p, with the columns in x-exponent blocks,
     highest first, gives its free columns.  That order leaves the free
     columns in the low x-blocks, where the flat limit of the projected
-    rows measured cheaper than with the total-degree order.  A vector of K
-    is fixed by its free coordinates (K's kernel basis is a unit at each
-    free column), and pi S(t) is S(t) restricted to K, in those
-    coordinates: a free column maps to its own slot, the pivot column of
-    an RREF row to minus that row at the free columns.  The t^e layer of a
-    sliding row is its x^i block, e = v(i - a), so one packed product per
-    layer projects it.  Only these rows go through flat_limit; the limit
-    system is the kernel of its limit rows, in free coordinates.  The
-    target lies in K as well, for any r and residual: at a divisor point
-    of multiplicity M, g vanishes to order M - r and x^r g to order M, and
-    x is a unit at the ambient points.  So containment is one rank on free
-    coordinates, and the moving system has dimension len(free) minus the
-    rank of pi S(t) over F_p(t).
+    rows measured cheaper than with the total-degree order.  reduced_kernel
+    reads off it a basis of K, one vector per free column and a unit there.
+    As the rows of a matrix K, pi S(t) = S(t) K^T in free coordinates: the
+    image of a column is that column of K.  The t^e layer of a sliding row
+    is its x^i block, e = v(i - a), so one packed product per layer
+    projects it.  Only these rows go through flat_limit; the limit system
+    is the kernel of its limit rows, in free coordinates.  The target lies
+    in K as well, for any r and residual: at a divisor point of
+    multiplicity M, g vanishes to order M - r and x^r g to order M, and x
+    is a unit at the ambient points.  In x-block order x^r is a prefix: it
+    carries the degree-(d - r) columns, in order, onto the first
+    ambient_sections(d - r) degree-d ones, so the target is built in that
+    order and read at the free columns by index.  Containment is one rank
+    on free coordinates, and the moving system has dimension len(free)
+    minus the rank of pi S(t) over F_p(t).
 
     Returns (contained, details).  residual_override and r_override
     substitute a corrupted residual claim (negative controls: one extra
@@ -567,19 +571,15 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     cols = _x_block_columns(d)
     rref, pivots = rref_mod_p(
         conditions_matrix(_base_sites(placed, 0), d, p, cols), p)
-    pivot_set = set(pivots)
-    free = [col for col in range(len(cols)) if col not in pivot_set]
+    free = sorted(set(range(len(cols))) - set(pivots))
     free_mons = [cols[col] for col in free]
     # the image of each column mod rowspace(B), packed over the free slots;
     # a slot of a layer sums at most d + 1 products, one per column of the
     # layer's block, which holds places lo..hi-1
     w = _slot_width(len(cols), p)
     mask = (1 << w) - 1
-    image = [0] * len(cols)
-    for slot, col in enumerate(free):
-        image[col] = 1 << slot * w
-    for row, col in zip(rref, pivots):
-        image[col] = _pack([p - row[f] for f in free], w, p)
+    kernel = reduced_kernel(rref, pivots, len(cols), p)
+    image = [_pack(column, w, p) for column in zip(*kernel)]
 
     # sliding rows of pi S(t) as {(free monomial, t-exponent): c}
     rows = []
@@ -611,12 +611,10 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     residual = residual_override if residual_override is not None \
         else plan.residual_tuple()
     target_sites = _residual_system_sites(plan, placed, r, residual)
-    gcols = monomials_of_degree_at_most(d - r)
-    grows = conditions_matrix(target_sites, d - r, p) if d - r >= 0 else []
-    target = []
-    for vec in kernel_mod_p(grows, len(gcols), p):
-        shifted = {(i + r, j): c for (i, j), c in zip(gcols, vec)}
-        target.append([shifted.get(mon, 0) for mon in free_mons])
+    gcols = _x_block_columns(d - r)
+    grows = conditions_matrix(target_sites, d - r, p, gcols) if gcols else []
+    target = [[vec[col] if col < len(gcols) else 0 for col in free]
+              for vec in kernel_mod_p(grows, len(gcols), p)]
 
     contained = rank_mod_p(target + limit, p) == len(target)
     details = {

@@ -18,7 +18,7 @@ from math import comb
 from .errors import OracleResourceLimit, PrimeTooSmall
 from .hilbert import ambient_sections, fat_point_degree, virtual_hilbert
 from .linalg import DEFAULT_PRIME, echelon_mod_p, require_prime
-from .staircase import Staircase, regular
+from .staircase import Staircase, _integers, regular
 
 # the one budget for conditions-matrix work, in matrix entries.  Cost
 # follows the entry count (2-core VM, p = 1000003, limit_inclusion_check):
@@ -56,6 +56,12 @@ class Site:
     def __post_init__(self):
         if self.shape.dim != 2:
             raise ValueError("interpolation sites are planar (d=2 shapes)")
+        if self.position is not None:
+            object.__setattr__(self, "position",
+                               _integers(self.position, "site coordinate"))
+        if self.frame is not None:
+            object.__setattr__(self, "frame", tuple(
+                _integers(row, "frame entry") for row in self.frame))
 
     def is_fat_point(self) -> bool:
         m = self.shape.max_height
@@ -170,7 +176,8 @@ def _materialize(sites, rng, p):
     if len(sites) > p * p:
         raise PrimeTooSmall(f"prime {p} has {p * p} points in the plane, "
                             f"fewer than the {len(sites)} sites")
-    taken = {s.position for s in sites if s.position is not None}
+    taken = {tuple(c % p for c in s.position)
+             for s in sites if s.position is not None}
     out = []
     for site in sites:
         pos = site.position

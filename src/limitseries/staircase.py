@@ -11,8 +11,23 @@ from __future__ import annotations
 
 import json
 from itertools import product
+from operator import index
 
 from .errors import LengthMismatch, MonotonicityViolation
+
+
+def _integer(value, what):
+    """value as an int through operator.index; a float or any other
+    non-integral value raises ValueError naming what."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integers(values, what):
+    """The tuple of _integer(v, what) over values."""
+    return tuple(_integer(v, what) for v in values)
 
 
 def _json_int(value, what):
@@ -29,16 +44,17 @@ class Staircase:
     __slots__ = ("dim", "heights", "_hash")
 
     def __init__(self, dim: int, heights: dict):
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         clean = {}
         for key, h in heights.items():
-            key = tuple(int(k) for k in key)
+            key = _integers(key, "height key")
             if len(key) != dim - 1:
                 raise ValueError(f"height key {key} has wrong arity for dim {dim}")
             if any(k < 0 for k in key):
                 raise ValueError(f"negative exponent in height key {key}")
-            h = int(h)
+            h = _integer(h, "height")
             if h < 0:
                 raise ValueError(f"negative height {h} at {key}")
             if h > 0:

@@ -53,6 +53,18 @@ class TestValidatePlan:
         plan = simple_plan([regular(1)], (1,), ())
         assert [f.code for f in validate_plan(plan)] == ["EmptyLevels"]
 
+    @pytest.mark.parametrize("build", [
+        lambda: simple_plan([regular(1)], (1.9,), (3,)),
+        lambda: simple_plan([regular(1)], (1,), (3.5,)),
+        lambda: LineSystemModel(3.7, (1,)),
+        lambda: LineSystemModel(3, (1.2,)),
+    ], ids=["speed", "level", "degree", "base degree"])
+    def test_non_integral_refused(self, build):
+        # int() used to floor speeds, levels and base degrees, and the
+        # degree was kept as given
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
 
 class TestBuildNagataPlan:
     def test_k4_m2_s0(self):

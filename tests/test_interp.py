@@ -64,6 +64,14 @@ class TestConditionsMatrix:
         assert conditions_matrix([empty], 3, P) == [] \
             == plain_site_rows(empty, 3, P)
 
+    @pytest.mark.parametrize("position,frame", [
+        ((1.5, 2), None), ((1, 2.0), None), (("1", 2), None),
+        ((1, 2), ((1, 0.5), (0, 1))), ((1, 2), ((1, 0), (0, 1.0)))])
+    def test_non_integral_site_refused(self, position, frame):
+        # a float coordinate used to reach the rows as a float entry
+        with pytest.raises(ValueError, match="must be an integer"):
+            Site(regular(1), position, frame)
+
 
 class TestSystemDimension:
     def test_five_double_points_quartics(self):
@@ -111,6 +119,14 @@ class TestHilbertFunctionOf:
             [Site(bar, (1, 5), ((1, 0), (0, 1))),
              Site(bar, (2, 5), ((1, 0), (0, 1)))], 2, P)
         assert rank_mod_p(aligned, P) == 3
+
+    def test_fixed_position_reserved_mod_p(self):
+        # (6, 0) is the point (1, 0) of the plane over F_5: a generic draw
+        # must not land there
+        sites = [Site(regular(1), (6, 0))] + [Site(regular(1))] * 3
+        for seed in range(200):
+            assert hilbert_function_of(sites, 3, trials=1, seed=seed,
+                                       p=5) == 4
 
 
 class TestFrameInvariance:

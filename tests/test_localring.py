@@ -27,7 +27,8 @@ from limitseries.staircase import make_staircase, regular, suppress_seq
 from util import (bench_pyramid_chains, bench_workloads, canonical,
                   chain_corpus, howell_corpus, monomial_span,
                   plain_closed_form, plain_flat_limit, plain_from_rows,
-                  plain_special_fiber, random_staircase)
+                  plain_rref_mod_p, plain_special_fiber, random_staircase,
+                  torus_corpus, torus_flat_limit, torus_scene)
 
 P = 10007
 
@@ -617,6 +618,47 @@ class TestFlatLimitAgreesWithPlain:
         assert horace.limit_inclusion_check(plan, model, scene, seed=1)[0]
         assert len(seen) == 1
         self._same(*seen[0])
+
+
+class TestFlatLimitAgreesWithTorus:
+    """flat_limit of a single-speed, divisor-only scene's full rows spans
+    the torus limit torus_flat_limit, which takes no t-adic step."""
+
+    @staticmethod
+    def _differs_from_t1(plan, model, scene, seed=0):
+        """Assert the agreement; return whether the limit differs from
+        the span at t = 1."""
+        cols, at_one, moving = torus_scene(plan, model, scene, seed)
+        p = scene.prime
+        got = flat_limit(moving, RingContext(dim=2, prime=p,
+                                             x_cap=max(model.degree, 1)))
+        got_rows = [[row.get((mon, 0), 0) for mon in cols]
+                    for row in got.rows.values()]
+        limit = plain_rref_mod_p(torus_flat_limit(at_one, cols, p), p)
+        assert plain_rref_mod_p(got_rows, p) == limit
+        return limit != plain_rref_mod_p(at_one, p)
+
+    def test_bench_plans(self):
+        workloads = bench_workloads()
+        cases = differ = 0
+        for seed in (1, 2, 3):
+            for item in workloads.Limit().generate(seed):
+                plan, model, scene, check_seed = item.args
+                if item.id.endswith("/control") or len(set(plan.speeds)) > 1 \
+                        or scene.ambient_base:
+                    continue
+                differ += self._differs_from_t1(plan, model, scene,
+                                                check_seed)
+                cases += 1
+        # 15 single-speed, divisor-only plans in the catalogue; the limit
+        # is not the t = 1 span in most of them
+        assert (cases, differ) == (45, 39)
+
+    @pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+    def test_seeded_corpus(self, p):
+        corpus = torus_corpus(1, p)
+        differ = sum(self._differs_from_t1(*case) for case in corpus)
+        assert differ >= len(corpus) // 2
 
 
 class TestRowsLayout:

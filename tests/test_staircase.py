@@ -44,6 +44,17 @@ class TestMakeStaircase:
         assert E.contains((1, 0, 0))
         assert not E.contains((1, 1, 0))
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_staircase([2.7, 1]),
+        lambda: make_staircase({0: 2, 1: 1.0}),
+        lambda: Staircase(2, {(0.9,): 2}),
+        lambda: Staircase(2.0, {(0,): 2}),
+    ], ids=["height", "integral-float height", "key", "dim"])
+    def test_non_integral_refused(self, build):
+        # int() used to floor these: [2.7, 1] became [2, 1]
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
 
 class TestRegular:
     def test_empty(self):

@@ -52,3 +52,41 @@ def test_fpt_reference_stays_off_the_library_path():
     assert modules
     assert [f"{path.name}:{line}: {name}" for path in modules
             for line, name in names_used(path) if name in FPT_REFERENCE] == []
+
+
+# pyproject.toml requires Python >= 3.10.  feature_version makes ast.parse
+# refuse the grammar added after 3.10; int.to_bytes and int.from_bytes took
+# their length and byteorder as optional only from 3.11, so each call must
+# pass them: to_bytes(length, byteorder), from_bytes(data, byteorder).
+OLDEST = (3, 10)
+BYTE_CALL_ARGS = {"to_bytes": {"length", "byteorder"},
+                  "from_bytes": {"bytes", "byteorder"}}
+
+
+def short_byte_calls(path):
+    """(calls checked, file:line of each call missing an argument)."""
+    checked, short = 0, []
+    for node in ast.walk(ast.parse(path.read_text(), str(path),
+                                   feature_version=OLDEST)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name not in BYTE_CALL_ARGS:
+            continue
+        checked += 1
+        passed = len(node.args) + len(
+            {kw.arg for kw in node.keywords} & BYTE_CALL_ARGS[name])
+        if passed < 2:
+            short.append(f"{path.name}:{node.lineno}: {name}")
+    return checked, short
+
+
+def test_sources_parse_and_call_bytes_as_python_3_10():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    results = [short_byte_calls(path) for path in modules]
+    # the packed F_p rows go through to_bytes and from_bytes
+    assert sum(checked for checked, _ in results) >= 3
+    assert [hit for _, short in results for hit in short] == []

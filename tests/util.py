@@ -12,7 +12,7 @@ from limitseries import horace
 from limitseries.interp import (Site, _materialize, conditions_matrix,
                                 monomials_of_degree_at_most)
 from limitseries.linalg import (_BYTE_ROUTE_BITS, _slot_width,
-                                kernel_mod_p, rank_mod_p)
+                                kernel_mod_p, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, _add_mul, _order_key,
                                    _sp_inv, _sparse_rref, flat_limit)
@@ -564,6 +564,73 @@ def plain_limit_inclusion_check(plan, model, scene, seed=0,
         "residual": [E.to_json() for E in residual],
         "contained": contained,
     }
+
+
+# ---------------------------------------------------------------------------
+# torus reference: a flat limit with no t-adic elimination
+# ---------------------------------------------------------------------------
+
+
+def torus_flat_limit(rows, cols, p):
+    """lim V(t) for V(t) = V(1) D(t), D(t) = diag(t^(v i)) on the columns
+    x^i y^j with v > 0: the initial space of V(1) for the weight i, lowest
+    first (Eisenbud, Commutative Algebra, Thm 15.17).  rows span V(1) over
+    cols, which must run by ascending x-exponent.  One rref_mod_p of V(1)
+    gives reduced rows whose pivots lead their lowest x-block, and those
+    rows cut to their pivot's x-block span the limit."""
+    assert cols == sorted(cols, key=lambda mon: mon[0])
+    rref, pivots = rref_mod_p(rows, p)
+    return [[c if a == cols[col][0] else 0 for (a, _b), c in zip(cols, row)]
+            for row, col in zip(rref, pivots)]
+
+
+def torus_scene(plan, model, scene, seed=0):
+    """A single-speed plan on a divisor-only scene, drawn as
+    limit_inclusion_check draws it: (cols, V(1), A(t)).  cols are the
+    degree-d monomials by ascending x-exponent; V(1) holds the base rows
+    and the sliding rows with every site at (1, y), over cols; A(t) holds
+    the same rows as {(monomial, t-exponent): c}, a sliding site at
+    (t^v, y).  A divisor point's rows vanish off the block x^a of their
+    cell, and a sliding row is t^(-v a) times its row at (1, y) times
+    D(t), so A(t) spans V(1) D(t)."""
+    (v,) = set(plan.speeds)
+    assert not scene.ambient_base
+    d, p = model.degree, scene.prime
+    rng = random.Random(f"{seed}:{scene.seed}:limit")
+    placed = horace._materialize_scene(plan, scene, rng, p)
+    cols = [(a, b) for a in range(d + 1) for b in range(d - a + 1)]
+    at_one = conditions_matrix(horace._base_sites(placed, 0), d, p, cols)
+    moving = [{(mon, 0): c for mon, c in zip(cols, row) if c}
+              for row in at_one]
+    for E, y in zip(plan.shapes, placed.sliding_ys):
+        site_rows = conditions_matrix([Site(E, (1, y))], d, p, cols)
+        at_one += site_rows
+        for (a, _b), row in zip(E.cells(), site_rows):
+            moving.append({((i, j), v * (i - a)): c
+                           for (i, j), c in zip(cols, row) if c})
+    return cols, at_one, moving
+
+
+def torus_corpus(seed, p, count=60, max_degree=9):
+    """Seeded single-speed, divisor-only (plan, model, scene) triples of
+    degree 1..max_degree: 1-2 sliding staircases of at most 6 cells,
+    speed 1-3, 0-4 divisor fat points of multiplicity 1-3.  Levels do
+    not enter the flat limit; each plan has one."""
+    rng = random.Random(f"torus:{seed}:{p}")
+    out = []
+    for _ in range(count):
+        shapes = [random_staircase(rng, max_cells=6, max_height=3)
+                  for _ in range(rng.randint(1, 2))]
+        plan = horace.SpecializationPlan(shapes,
+                                         (rng.randint(1, 3),) * len(shapes),
+                                         (1,))
+        scene = horace.OracleScene(
+            divisor_base=tuple(rng.randint(1, 3)
+                               for _ in range(rng.randint(0, 4))),
+            prime=p, seed=rng.randrange(2**31))
+        out.append((plan, horace.LineSystemModel(rng.randint(1, max_degree),
+                                                 ()), scene))
+    return out
 
 
 def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
