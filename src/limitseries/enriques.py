@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
-from .staircase import f_staircase, regular
+from .staircase import _integers, _json_int, f_staircase, regular
 
 MAX_SEARCH_MULTIPLICITY = 16
 
@@ -47,7 +47,7 @@ class EnriquesDiagram:
             if any(j >= i for j in s):
                 raise ValueError(f"vertex {i} references a later vertex")
         if self.multiplicities is not None:
-            mult = tuple(int(v) for v in self.multiplicities)
+            mult = _integers(self.multiplicities, "multiplicity")
             if len(mult) != len(prox):
                 raise ValueError("one multiplicity per vertex required")
             if any(v < 0 for v in mult):
@@ -80,7 +80,8 @@ class EnriquesDiagram:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         prox = tuple(frozenset(v["proximate_to"]) for v in vertices)
         mult = data.get("multiplicities")
-        return cls(prox, None if mult is None else tuple(mult))
+        return cls(prox, None if mult is None else tuple(
+            _json_int(v, "multiplicity") for v in mult))
 
 
 def four_point_constellation() -> EnriquesDiagram:

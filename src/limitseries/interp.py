@@ -25,8 +25,10 @@ from .staircase import Staircase, _integers, regular
 # Nagata plans 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s, 88,200
 # 12 s, 126,360 17 s, 243,040 52 s; a one-cell plan at degree 24 (325 x 325)
 # 0.1-21 s for 0-325 simple scene points; the (6,3) oracle table, 70,200
-# entries, one packed elimination per trial: 0.25-0.32 s a trial at
-# p = 2^61 - 1, 0.08-0.09 s at p = 1000003.
+# entries admitted (a trial short of full rank eliminates them all), one
+# packed elimination of its 216 x 231 degree-20 prefix per trial:
+# 0.10-0.12 s a trial at p = 2^61 - 1, 0.04-0.045 s at p = 1000003
+# (0.16 s and 0.06 s for the whole 216 x 325 matrix).
 DESK_MATRIX_BUDGET = 120_000
 
 
@@ -64,8 +66,12 @@ class Site:
                 _integers(row, "frame entry") for row in self.frame))
 
     def is_fat_point(self) -> bool:
+        """Whether the shape is regular(m), m its largest height: heights
+        m, m - 1, ..., 1 at y = 0, ..., m - 1 and none beyond."""
+        heights = self.shape.heights
         m = self.shape.max_height
-        return self.shape == regular(m)
+        return len(heights) == m and all(
+            heights.get((y,)) == m - y for y in range(m))
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,12 @@ def _frame_det(frame, p):
     return (a * d - b * c) % p
 
 
+def _require_prime_above(p: int, d: int) -> None:
+    require_prime(p)
+    if p <= d:
+        raise PrimeTooSmall(f"prime {p} must exceed the degree {d}")
+
+
 def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME, cols=None):
     """Vanishing conditions of the sites on degree-d curves.
 
@@ -97,9 +109,7 @@ def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME, cols=None):
     (i, j) with i + j <= d listed in cols.  Entries are exact integers mod
     p; two sites whose positions agree mod p are refused.
     """
-    require_prime(p)
-    if p <= d:
-        raise PrimeTooSmall(f"prime {p} must exceed the degree {d}")
+    _require_prime_above(p, d)
     if cols is None:
         cols = monomials_of_degree_at_most(d)
     rows = []
@@ -202,20 +212,39 @@ def _rank_profiles(sites, d: int, trials: int, seed: int, p: int):
     """Pivot columns of the degree-d conditions matrix, one list per trial.
     Columns run by total degree and a trial's positions do not depend on
     the degree, so the pivots below ambient_sections(e) are its rank in
-    every degree e <= d."""
+    every degree e <= d.
+
+    A trial first eliminates only the degree-e matrix, e the least degree
+    <= d with at least as many columns as there are condition rows: it is
+    a column prefix of the degree-d matrix.  Once the prefix has a pivot
+    in every row, no later column can hold one, so its pivots are the
+    degree-d pivots (for a zero-dimensional scheme, H reaching deg Z in
+    degree e stays there).  Otherwise the same placed sites are eliminated
+    in degree d."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    nrows = sum(site.shape.degree for site in sites)
+    e = next((e for e in range(d) if ambient_sections(e) >= nrows), d)
     rng = random.Random(seed)
-    return [echelon_mod_p(conditions_matrix(_materialize(sites, rng, p), d, p),
-                          p)[1]
-            for _ in range(trials)]
+    profiles = []
+    for _ in range(trials):
+        placed = _materialize(sites, rng, p)
+        # the prefix degree e may lie below p while d does not
+        _require_prime_above(p, d)
+        pivots = echelon_mod_p(conditions_matrix(placed, e, p), p)[1]
+        if e < d and len(pivots) < nrows:
+            pivots = echelon_mod_p(conditions_matrix(placed, d, p), p)[1]
+        profiles.append(pivots)
+    return profiles
 
 
 def hilbert_function_of(sites, d: int, trials: int = 3, seed: int = 0,
                         p: int = DEFAULT_PRIME) -> int:
     """Generic rank of the vanishing conditions in degree d (the Hilbert
     function of the generic union with these shapes, with failure
-    probability <= degree-bound/p per trial)."""
+    probability <= degree-bound/p per trial).  A trial stops at the least
+    degree whose conditions already have full rank: the rank cannot grow
+    past the number of conditions, so it is then the degree-d rank."""
     return max(len(pivots)
                for pivots in _rank_profiles(sites, d, trials, seed, p))
 
@@ -272,9 +301,12 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
                           force: bool = False) -> NagataReport:
     """Compare the oracle with min((d+1)(d+2)/2, k^2 m(m+1)/2) for d <= d_max.
 
-    One elimination of the degree-d_max conditions matrix per trial and
-    prime gives the whole table: H(d) is the number of its pivot columns
-    below ambient_sections(d), maxed over trials."""
+    One elimination per trial and prime gives the whole table: H(d) is the
+    number of pivot columns of the degree-d_max conditions matrix below
+    ambient_sections(d), maxed over trials.  The elimination stops at the
+    least degree e with ambient_sections(e) >= deg Z whenever H(e) = deg Z
+    there: no later column can then hold a pivot, so H(d) = deg Z for every
+    d >= e, and only a trial short of that eliminates degree d_max."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     if d_max is None:
@@ -284,10 +316,10 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     deg_z = k * k * fat_point_degree(m)
     require_desk_scale(deg_z, ambient_sections(d_max), force)
     report = NagataReport(k, m, d_max, trials, seed, prime, prime2)
+    sites = [Site(regular(m))] * (k * k)
     tables = []
     for p in [prime] + ([prime2] if prime2 else []):
         require_prime(p)
-        sites = [Site(regular(m)) for _ in range(k * k)]
         profiles = _rank_profiles(sites, d_max, trials, seed, p)
         table = []
         for d in range(d_max + 1):

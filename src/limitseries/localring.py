@@ -32,7 +32,7 @@ from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
                      InvalidTruncation, PrimeTooSmall)
 from .linalg import DEFAULT_PRIME, is_prime, rref_mod_p
-from .staircase import Staircase
+from .staircase import Staircase, _integers
 
 # ---------------------------------------------------------------------------
 # contexts and elements
@@ -687,7 +687,7 @@ def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
 
 
 def _validate_levels(ns):
-    ns = [int(n) for n in ns]
+    ns = list(_integers(ns, "level"))
     if any(n < 1 for n in ns):
         raise InvalidSequence(f"levels must be >= 1, got {ns}")
     if any(a <= b for a, b in zip(ns, ns[1:])):

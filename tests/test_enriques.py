@@ -35,6 +35,21 @@ class TestConstellation:
         D = four_point_constellation().with_multiplicities(PAPER_EXAMPLE)
         assert EnriquesDiagram.from_json(D.to_json()) == D
 
+    @pytest.mark.parametrize("mult", [(2.5, 1.9), (2.0, 1), (2, "1")])
+    def test_non_integral_multiplicities_refused(self, mult):
+        # int() used to floor them: (2.5, 1.9) became (2, 1)
+        with pytest.raises(ValueError, match="multiplicity must be an int"):
+            EnriquesDiagram(((), (0,)), mult)
+
+    def test_json_reads_integral_numbers(self):
+        # as for staircases, a JSON 2.0 reads as 2 and 2.5 is refused
+        data = EnriquesDiagram(((), (0,)), (2, 1)).to_json()
+        data["multiplicities"] = [2.0, 1]
+        assert EnriquesDiagram.from_json(data).multiplicities == (2, 1)
+        data["multiplicities"] = [2.5, 1]
+        with pytest.raises(ValueError, match="multiplicity must be an int"):
+            EnriquesDiagram.from_json(data)
+
 
 class TestUnloaded:
     def test_single_vertex(self):

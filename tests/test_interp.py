@@ -1,4 +1,6 @@
+import random
 import time
+from bisect import bisect_left
 
 import pytest
 
@@ -9,11 +11,13 @@ from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
                                 conditions_matrix, hilbert_function_of,
                                 require_desk_scale, system_dimension,
                                 verify_nagata_theorem)
-from limitseries.linalg import rank_mod_p
-from limitseries.staircase import make_staircase, regular
+from limitseries.hilbert import ambient_sections
+from limitseries.interp import _materialize, _rank_profiles
+from limitseries.linalg import echelon_mod_p, rank_mod_p
+from limitseries.staircase import f_staircase, make_staircase, regular
 
-from util import (SECOND_PRIME, per_degree_oracle, plain_site_rows,
-                  site_corpus)
+from util import (SECOND_PRIME, partitions_up_to, per_degree_oracle,
+                  plain_site_rows, site_corpus)
 
 P = 1000003
 
@@ -71,6 +75,138 @@ class TestConditionsMatrix:
         # a float coordinate used to reach the rows as a float entry
         with pytest.raises(ValueError, match="must be an integer"):
             Site(regular(1), position, frame)
+
+
+class TestIsFatPoint:
+    def test_agrees_with_regular(self):
+        # every plane staircase of at most 10 cells, the empty one included
+        shapes = [make_staircase(list(part)) for part in partitions_up_to(10)]
+        assert sum(Site(E).is_fat_point() for E in shapes) == 5  # R_0..R_4
+        for E in shapes + [f_staircase(2), regular(6)]:
+            assert Site(E).is_fat_point() == (E == regular(E.max_height))
+
+
+def full_degree_profiles(sites, d, trials, seed, p):
+    """One degree-d elimination per trial, on the draws _rank_profiles
+    makes."""
+    rng = random.Random(seed)
+    return [echelon_mod_p(conditions_matrix(_materialize(sites, rng, p), d,
+                                            p), p)[1]
+            for _ in range(trials)]
+
+
+def counted_profiles(monkeypatch, sites, d, trials, seed, p):
+    """_rank_profiles and the degrees of the conditions matrices it built."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return conditions_matrix(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interp, "conditions_matrix", counted)
+        profiles = _rank_profiles(sites, d, trials, seed, p)
+    return profiles, calls
+
+
+def prefix_calls(sites, d, profiles):
+    """The degrees a trial builds: e, the least degree <= d with as many
+    columns as conditions, then d too when the degree-e prefix of the
+    trial's pivots is short of a pivot per condition."""
+    nrows = sum(site.shape.degree for site in sites)
+    e = next((e for e in range(d + 1) if ambient_sections(e) >= nrows), d)
+    calls = []
+    for pivots in profiles:
+        calls.append(e)
+        if e < d and bisect_left(pivots, ambient_sections(e)) < nrows:
+            calls.append(d)
+    return calls
+
+
+class TestRankProfilesPrefix:
+    """_rank_profiles stops at the degree where the rank can first reach
+    the number of conditions; it must give the pivots of one degree-d
+    elimination of the same draws."""
+
+    PRIMES = [1000003, 2**61 - 1]
+
+    def check(self, monkeypatch, sites, d, trials, seed, p):
+        want = full_degree_profiles(sites, d, trials, seed, p)
+        got, calls = counted_profiles(monkeypatch, sites, d, trials, seed, p)
+        assert got == want
+        assert calls == prefix_calls(sites, d, want)
+        return got, calls
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("k,m,e", [(2, 1, 2), (3, 2, 6), (4, 2, 9),
+                                       (3, 3, 9), (5, 1, 6)])
+    def test_generic_fat_points_take_the_prefix(self, monkeypatch, p, k, m,
+                                                e):
+        sites = [Site(regular(m))] * (k * k)
+        _, calls = self.check(monkeypatch, sites, k * m + k, 2, k + m, p)
+        assert calls == [e, e]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n,d,calls,rank", [
+        # the double line through two double points survives in degree 2
+        (2, 3, [2, 3], 6),
+        # the double conic through five double points survives in degree 4
+        (5, 5, [4, 5], 15),
+        # e = d: the prefix is the whole matrix, eliminated once
+        (5, 4, [4], 14),
+    ])
+    def test_special_systems_fall_back(self, monkeypatch, p, n, d, calls,
+                                       rank):
+        sites = [Site(regular(2))] * n
+        for seed in (1, 2):
+            got, seen = self.check(monkeypatch, sites, d, 3, seed, p)
+            assert seen == calls * 3
+            assert [len(pivots) for pivots in got] == [rank] * 3
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_more_conditions_than_columns(self, monkeypatch, p):
+        # 27 conditions, 21 quintics: no degree <= 5 has enough columns,
+        # so e = d
+        _, calls = self.check(monkeypatch, [Site(regular(2))] * 9, 5, 2, 3,
+                              p)
+        assert calls == [5, 5]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_empty_site_list(self, monkeypatch, p):
+        got, calls = self.check(monkeypatch, [], 6, 3, 0, p)
+        assert got == [[], [], []] and calls == [0, 0, 0]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_non_fat_shapes_with_random_frames(self, monkeypatch, p):
+        # bars, F_2 and mixed staircases draw a random frame per trial;
+        # special unions among them (two 3-cell bars on a conic's line
+        # pair) send some trials down the fallback
+        rng = random.Random(29)
+        shapes = [make_staircase([3]), make_staircase([1, 1, 1]),
+                  f_staircase(2), make_staircase([3, 1]),
+                  make_staircase([2, 2]), regular(2)]
+        prefix = fallback = 0
+        for _ in range(40):
+            sites = [Site(rng.choice(shapes))
+                     for _ in range(rng.randrange(1, 5))]
+            if rng.random() < 0.3:
+                sites.append(Site(make_staircase([2]), (1, 5),
+                                  ((2, 1), (1, 1))))
+            d = rng.randrange(1, 8)
+            _, calls = self.check(monkeypatch, sites, d, 2, rng.randrange(99),
+                                  p)
+            if calls[0] < d:  # each of the 2 trials builds [e] or [e, d]
+                fallback += calls.count(d)
+                prefix += 2 - calls.count(d)
+        assert prefix and fallback, (prefix, fallback)
+
+    def test_prime_checked_against_d_not_e(self):
+        # one simple point is full rank in degree 0, but degree 7 over F_7
+        # is still refused, after the draw as before
+        with pytest.raises(PrimeTooSmall, match="exceed the degree 7"):
+            hilbert_function_of([Site(regular(1))], 7, trials=1, p=7)
+        with pytest.raises(PrimeTooSmall, match="4 points"):
+            hilbert_function_of([Site(regular(1))] * 5, 7, trials=1, p=2)
 
 
 class TestSystemDimension:
@@ -237,11 +373,17 @@ class TestNagataOracle:
         rep = verify_nagata_theorem(k, m, trials=trials, seed=seed,
                                     prime=prime)
         assert [row["oracle"] for row in rep.rows] == want
-        assert calls == [d_max] * trials
+        # H reaches deg Z at the least degree with that many columns, so
+        # each trial eliminates only that degree
+        deg_z = k * k * m * (m + 1) // 2
+        e = next(e for e in range(d_max + 1)
+                 if (e + 1) * (e + 2) // 2 >= deg_z)
+        assert e < d_max
+        assert calls == [e] * trials
         calls.clear()
         rep2 = verify_nagata_theorem(k, m, trials=trials, seed=seed,
                                      prime=prime, prime2=prime2)
-        assert calls == [d_max] * (2 * trials)
+        assert calls == [e] * (2 * trials)
         assert rep2.rows == rep.rows
         assert rep2.cross_check_agrees == (want == want2)
         assert rep2.passed == (rep.passed and want == want2)

@@ -235,6 +235,17 @@ class TestResidualChain:
         with pytest.raises(InvalidSequence):
             residual_chain(regular(2), 1, [0])
 
+    @pytest.mark.parametrize("ns", [[2.7], [3.0], [3, 1.5], ["2"]])
+    def test_non_integral_levels_refused(self, ns):
+        # int() used to floor them: [2.7] ran as level 2 and warned that
+        # level 2 touches a boundary
+        for build in (residual_chain, restriction_chain,
+                      closed_form_residual):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="level must be an int"):
+                    build(regular(2), 1, ns)
+
     def test_cap_too_small(self):
         E = regular(3)
         tight = RingContext(dim=2, prime=P, t_trunc=4, x_cap=2)
