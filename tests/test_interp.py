@@ -7,12 +7,12 @@ import pytest
 from limitseries import interp
 from limitseries.errors import (OracleResourceLimit, PrimeTooSmall,
                                 ResourceLimit)
+from limitseries.hilbert import ambient_sections
 from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
+                                _materialize, _rank_profiles,
                                 conditions_matrix, hilbert_function_of,
                                 require_desk_scale, system_dimension,
                                 verify_nagata_theorem)
-from limitseries.hilbert import ambient_sections
-from limitseries.interp import _materialize, _rank_profiles
 from limitseries.linalg import echelon_mod_p, rank_mod_p
 from limitseries.staircase import f_staircase, make_staircase, regular
 
