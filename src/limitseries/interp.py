@@ -186,6 +186,7 @@ def _materialize(sites, rng, p):
     if len(sites) > p * p:
         raise PrimeTooSmall(f"prime {p} has {p * p} points in the plane, "
                             f"fewer than the {len(sites)} sites")
+    require_prime(p)  # before any draw: mod 1 no frame is invertible
     taken = {tuple(c % p for c in s.position)
              for s in sites if s.position is not None}
     out = []

@@ -14,10 +14,11 @@ in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
 instead.  A plain space is read-only: dimension, membership, basis and
 equality; truncation, colon and special fiber need the graded layout.
 Howell modules and flat limits share one row format and update, _add_mul.
-Canonicalisation (TModule.from_rows) normalises a row only when it takes a
-pivot slot and cancels every other row against the slot row's exact t^val;
-truncation canonicalises again, and the colon by x_1 reads the canonical
-rows directly (the Howell property below).
+Canonicalisation (TModule.from_rows) sweeps the x_1 coordinates once, in
+ascending order: the row of least valuation at a coordinate is its pivot,
+and the other rows, cancelled against it, and its shadow move on to later
+coordinates; truncation canonicalises again, and the colon by x_1 reads the
+canonical rows directly (the Howell property below).
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ class TModule:
     operation is the shared update ``_add_mul`` (row += q(t) * other).
 
     Howell property: for every k, the rows with pivot >= k span the
-    submodule of elements that vanish at coordinates 0..k-1.  Pushing the
-    shadow t^(n-val) * row of each slot row back through the elimination is
-    what gives it; ``colon`` relies on it for k = 1.
+    submodule of elements that vanish at coordinates 0..k-1.  ``from_rows``
+    gets it from a pivot of least valuation at every coordinate and the
+    shadow t^(n-val) * row it passes on; ``colon`` relies on it for k = 1.
     """
 
     __slots__ = ("p", "n", "ncoords", "rows", "pivots", "vals")
@@ -272,60 +273,64 @@ class TModule:
 
     @classmethod
     def from_rows(cls, p, n, ncoords, gen_rows):
-        """Canonicalize arbitrary generating rows (Howell algorithm).
+        """Canonicalize arbitrary generating rows (Howell algorithm): one
+        ascending sweep over the coordinates.
+
+        Each row waits in the bucket of its lowest coordinate.  At j the
+        bucket row of least valuation e becomes the pivot, made exactly t^e
+        at j.  The other bucket rows have valuation >= e at j, so one
+        cancellation against the pivot clears it; they and the pivot's
+        shadow t^(n-e) * row, which vanishes at j too, go to the buckets of
+        their new lowest coordinates.  Every row put in a bucket lies above
+        j, so none is seen twice.  The earlier pivot rows' entries at j are
+        then reduced below t^e.  Howell property: a combination of the
+        pivot and the cancelled rows vanishes at j exactly when the pivot's
+        coefficient lies in t^(n-e) R, so it is one of the shadow and those
+        rows; the later buckets span the elements that vanish at 0..j.
 
         Entries at t^n and beyond or at coordinates >= ncoords are dropped;
         a negative coordinate or t-exponent raises ValueError."""
-        slots: list = [None] * ncoords  # pivot coordinate -> (row, val)
-        pending = []
+        buckets = [[] for _ in range(ncoords)]  # lowest coordinate -> rows
         for row in gen_rows:
             if row and min(min(row)[0], min(te for _j, te in row)) < 0:
                 raise ValueError(f"negative coordinate or t-exponent in {row}")
             r = {k: c % p for k, c in row.items()
                  if k[1] < n and k[0] < ncoords and c % p}
             if r:
-                pending.append(r)
+                buckets[min(r)[0]].append(r)
 
-        while pending:
-            row = pending.pop()
-            j, e = min(row)  # pivot coordinate and its valuation
-            slot = slots[j]
-            if slot is not None and slot[1] <= e:
-                # the slot row is exactly t^se at j: cancel u(t) t^e there
-                srow, se = slot
-                _add_mul(row, srow, {te - se: -c for (jj, te), c in row.items()
-                                     if jj == j}, n, p)
-                if row:
-                    pending.append(row)
+        rows, pivots, vals = [], [], []
+        for j, bucket in enumerate(buckets):
+            if not bucket:
                 continue
-            # row takes the slot: make coordinate j exactly t^e
-            unit = {te - e: c for (jj, te), c in row.items() if jj == j}
+            pivot = chosen = min(bucket, key=min)  # least valuation at j
+            e = min(pivot)[1]
+            # make coordinate j exactly t^e
+            unit = {te - e: c for (jj, te), c in pivot.items() if jj == j}
             if len(unit) > 1:
-                row = _add_mul({}, row, _sp_inv(unit, n, p), n, p)
+                pivot = _add_mul({}, pivot, _sp_inv(unit, n, p), n, p)
             elif unit[0] != 1:
                 inv = pow(unit[0], -1, p)
-                row = {k: c * inv % p for k, c in row.items()}
-            slots[j] = (row, e)
-            if e > 0:
-                # t^(n-e) * row, nonzero tail of the annihilator multiple
-                sh = {(jj, te + n - e): c for (jj, te), c in row.items()
-                      if te < e}
-                if sh:
-                    pending.append(sh)
-            if slot is not None:
-                pending.append(slot[0])
-
-        kept = [(j, s) for j, s in enumerate(slots) if s is not None]
-        pivots = [j for j, _s in kept]
-        rows = [r for _j, (r, _e) in kept]
-        vals = [e for _j, (_r, e) in kept]
-        # back-reduction: entries at later pivots reduced below their val
-        for i, r in enumerate(rows):
-            for js, es, srow in zip(pivots[i + 1:], vals[i + 1:], rows[i + 1:]):
-                q = {te - es: -c for (jj, te), c in r.items()
-                     if jj == js and te >= es}
+                pivot = {k: c * inv % p for k, c in pivot.items()}
+            # t^(n-e) * pivot, nonzero tail of the annihilator multiple
+            rest = [{(jj, te + n - e): c for (jj, te), c in pivot.items()
+                     if te < e}]
+            for row in bucket:
+                if row is not chosen:
+                    _add_mul(row, pivot, {te - e: -c for (jj, te), c
+                                          in row.items() if jj == j}, n, p)
+                    rest.append(row)
+            for row in rest:
+                if row:
+                    buckets[min(row)[0]].append(row)
+            for row in rows:  # earlier pivots: entries at j below t^e
+                q = {te - e: -c for (jj, te), c in row.items()
+                     if jj == j and te >= e}
                 if q:
-                    _add_mul(r, srow, q, n, p)
+                    _add_mul(row, pivot, q, n, p)
+            rows.append(pivot)
+            pivots.append(j)
+            vals.append(e)
         return cls(p, n, ncoords, rows, pivots, vals)
 
     @classmethod

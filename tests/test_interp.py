@@ -1,4 +1,5 @@
 import random
+import threading
 import time
 from bisect import bisect_left
 
@@ -263,6 +264,29 @@ class TestHilbertFunctionOf:
         for seed in range(200):
             assert hilbert_function_of(sites, 3, trials=1, seed=seed,
                                        p=5) == 4
+
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_non_prime_refused_before_drawing(self, p):
+        # a bar needs a drawn frame, and mod 1 none is invertible: the
+        # prime is refused before any draw.  The call runs in a daemon
+        # thread, so a hang fails this test only.
+        box = {}
+
+        def target():
+            start = time.perf_counter()
+            try:
+                hilbert_function_of([Site(make_staircase([2]))], 0,
+                                    trials=1, p=p)
+            except PrimeTooSmall:
+                box["refused"] = True
+            box["seconds"] = time.perf_counter() - start
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "call did not return"
+        assert box.get("refused"), "call did not raise PrimeTooSmall"
+        assert box["seconds"] < 1.0
 
 
 class TestFrameInvariance:

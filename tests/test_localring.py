@@ -25,10 +25,11 @@ from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
 from util import (bench_pyramid_chains, bench_workloads, canonical,
-                  chain_corpus, howell_corpus, monomial_span,
-                  plain_closed_form, plain_flat_limit, plain_from_rows,
-                  plain_rref_mod_p, plain_special_fiber, random_staircase,
-                  torus_corpus, torus_flat_limit, torus_scene)
+                  chain_corpus, howell_bucket_corpus, howell_corpus,
+                  monomial_span, plain_closed_form, plain_flat_limit,
+                  plain_from_rows, plain_rref_mod_p, plain_special_fiber,
+                  random_staircase, torus_corpus, torus_flat_limit,
+                  torus_scene)
 
 P = 10007
 
@@ -788,10 +789,13 @@ class TestHowellModule:
 
 
 class TestHowellAgreesWithPlain:
-    """from_rows normalises only the rows that take a slot and cancels the
-    others against the exact t^val of the slot row; plain_from_rows
-    normalises every row it pops.  The Howell form is unique, so rows,
-    pivots and vals must be identical."""
+    """from_rows sweeps the coordinates once, in ascending order: the
+    bucket row of least valuation becomes the pivot, the other bucket rows
+    and the pivot's shadow move to later buckets, and earlier pivot rows
+    are reduced on the spot.  plain_from_rows runs a pending stack: a row
+    of lower valuation displaces a slot row, and a back-reduction pass
+    follows.  The Howell form is unique, so rows, pivots and vals must be
+    identical."""
 
     @staticmethod
     def same(got, p, n, ncoords, rows):
@@ -803,6 +807,35 @@ class TestHowellAgreesWithPlain:
         for p, n, ncoords, rows in howell_corpus(seed=15, count=1000):
             self.same(TModule.from_rows(p, n, ncoords, rows),
                       p, n, ncoords, rows)
+
+    def test_bucket_family(self):
+        """Buckets of several rows, the least valuation off the first row
+        or on two rows, multi-term units on it, and shadows that start
+        where input rows start."""
+        corpus = howell_bucket_corpus(seed=19)
+        seen = set()
+        for p, n, ncoords, rows in corpus:
+            self.same(TModule.from_rows(p, n, ncoords, rows),
+                      p, n, ncoords, rows)
+            starts = {min(r)[0] for r in rows}
+            for j in starts:
+                vals = [min(r)[1] for r in rows if min(r)[0] == j]
+                e = min(vals)
+                for r in rows:
+                    if min(r) != (j, e):
+                        continue
+                    if sum(k == j for k, _te in r) > 1:
+                        seen.add("unit")
+                    tail = [k for k, te in r if k > j and te < e]
+                    if tail and min(tail) in starts:
+                        seen.add("shadow")
+                if vals[0] > e:
+                    seen.add("later")
+                if vals.count(e) > 1:
+                    seen.add("tie")
+        assert seen == {"unit", "shadow", "later", "tie"}
+        assert max(c[1] for c in corpus) == 20
+        assert max(c[2] for c in corpus) == 12
 
     def test_bench_chain_inputs(self, monkeypatch):
         """Every distinct from_rows input of the chains workload at seed 1."""

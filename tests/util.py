@@ -265,6 +265,43 @@ def howell_corpus(seed, count=300):
     return out
 
 
+def howell_bucket_corpus(seed, count=300):
+    """Seeded (p, n, ncoords, rows) inputs of from_rows whose rows share
+    their lowest coordinates, two to four rows a coordinate: the least
+    valuation there sits on a later row, or on two rows at once; the rows
+    of least valuation carry multi-term units; and their shadows
+    t^(n-e) * row start at a coordinate where input rows start too.  Up to
+    12 coordinates (the widest column of the chains workload), n <= 20."""
+    rng = random.Random(seed)
+    primes = (2, 3, 5, 1000003, 2**61 - 1)
+    out = []
+    for idx in range(count):
+        p = primes[idx % len(primes)]
+        n, m = rng.randint(2, 20), rng.randint(2, 12)
+        starts = sorted(rng.sample(range(m), rng.randint(1, min(m, 4))))
+        rows = []
+        for j in starts:
+            e = rng.randrange(n - 1)  # the least valuation at j
+            vals = [rng.randint(e + 1, n - 1)]  # not on the first row
+            vals += [e] * rng.randint(1, 2) + [rng.randint(e, n - 1)]
+            later = [k for k in starts if k > j] or list(range(j + 1, m))
+            rows_j = []
+            for v in vals:
+                row = {(j, v + b): rng.randrange(1, p)
+                       for b in range(rng.randint(1, 3)) if v + b < n}
+                if later and e > 0 and v == e:
+                    # the shadow starts at this coordinate
+                    row[(later[0], rng.randrange(e))] = rng.randrange(1, p)
+                for _ in range(rng.randint(0, 3)):
+                    if later:
+                        row[(rng.choice(later), rng.randrange(n))] = \
+                            rng.randrange(1, p)
+                rows_j.append(row)
+            rows += rows_j[:1] + rng.sample(rows_j[1:], len(rows_j) - 1)
+        out.append((p, n, m, rows))
+    return out
+
+
 def matrix_corpus(seed, p, count=40):
     """Seeded matrices over F_p: random, rank-deficient (a product of thin
     factors), with zero rows, empty and one-column."""
