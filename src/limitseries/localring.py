@@ -14,6 +14,17 @@ in the x_1 coordinates per x_2..x_d exponent.  Spaces that are not graded
 instead.  A plain space is read-only: dimension, membership, basis and
 equality; truncation, colon and special fiber need the graded layout.
 Howell modules and flat limits share one row format and update, _add_mul.
+A row is a dict {key: coeff} whose key is one int, coord << b | t_exp: the
+low b bits hold the t-exponent and the bits above them the coordinate, so
+int order is (coord, t_exp) order, min(row) >> b is the lowest coordinate
+and a shift by t^s adds s to the key.  The width is b = max(8, (n -
+1).bit_length()) for truncation n, just wide enough for every t-exponent
+below n: a fixed wider field pushes keys past one machine digit and a
+narrower one cannot hold high levels (chains at n = 70000 run in
+milliseconds).  The floor of 8 bits keeps the keys of every truncation
+between levels below 256; a truncation that narrows the field re-keys its
+rows in from_rows' input filter.  Tuple-keyed {(coord, t_exp): c} data is
+encoded (_encode) where it enters and decoded where it leaves.
 Canonicalisation (TModule.from_rows) sweeps the x_1 coordinates once, in
 ascending order: the row of least valuation at a coordinate is its pivot,
 and the other rows, cancelled against it, and its shadow move on to later
@@ -223,18 +234,40 @@ def _sp_inv(u, n, p):
     return {e: c for e, c in out.items() if c}
 
 
-def _add_mul(row, other, q, n, p):
+def _key_width(n):
+    """Bits b of the t-field of a row key for truncation n (module doc)."""
+    return max(8, (n - 1).bit_length())
+
+
+def _encode(row, n):
+    """A {(coord, t_exp): c} row as {coord << b | t_exp: c}, b =
+    _key_width(n), without its entries at t^n and beyond.  A negative
+    coordinate or t-exponent raises ValueError: as a key it would borrow
+    from the bits of the field above it."""
+    b = _key_width(n)
+    out = {}
+    for (j, te), c in row.items():
+        if j < 0 or te < 0:
+            raise ValueError(f"negative coordinate or t-exponent in {row}")
+        if te < n:
+            out[j << b | te] = c
+    return out
+
+
+def _add_mul(row, other, q, n, p, mask):
     """row += q(t) * other in place, dropping t^n and beyond.
 
-    Rows are {(coord, t_exp): coeff} and q is {t_exp: coeff}; every Howell
-    step (normalisation, cancellation, shadow, back-reduction, membership,
-    expansion to an F_p-basis) and every flat_limit step is this update."""
+    Rows are {coord << b | t_exp: coeff}, mask = 2^b - 1 selects the
+    t-field, and q is {t_exp: coeff}: a term t^qe adds qe to a key whose
+    t-exponent stays below n - qe.  Every Howell step (normalisation,
+    cancellation, shadow, back-reduction, membership, expansion to an
+    F_p-basis) and every flat_limit step is this update."""
     # q is outside: it has one term in almost every call, other has many
     for qe, qc in q.items():
-        for (j, te), c in other.items():
-            te2 = te + qe
-            if te2 < n:
-                k = (j, te2)
+        lim = n - qe
+        for k, c in other.items():
+            if k & mask < lim:
+                k += qe
                 v = (row.get(k, 0) + c * qc) % p
                 if v:
                     row[k] = v
@@ -246,12 +279,15 @@ def _add_mul(row, other, q, n, p):
 class TModule:
     """Canonical Howell-form module over F_p[t]/(t^n) in x_1 coordinates.
 
-    Rows are flat dicts {(coord, t_exp): coeff}.  In canonical form every
-    row's pivot (its lowest nonzero coordinate) carries the exact entry
-    t^val, pivots are distinct and increasing, and entries of other rows at
-    a pivot coordinate are reduced below that pivot's valuation.  The form
-    is unique for a given module, so equality is row equality.  Every row
-    operation is the shared update ``_add_mul`` (row += q(t) * other).
+    Rows are flat dicts {coord << b | t_exp: coeff} with the key width
+    b = _key_width(n) (module doc); ``key()`` decodes them to sorted
+    ((coord, t_exp), coeff) pairs for hashing and fingerprints.  In
+    canonical form every row's pivot (its lowest nonzero coordinate)
+    carries the exact entry t^val, pivots are distinct and increasing, and
+    entries of other rows at a pivot coordinate are reduced below that
+    pivot's valuation.  The form is unique for a given module, so equality
+    is row equality.  Every row operation is the shared update
+    ``_add_mul`` (row += q(t) * other).
 
     Howell property: for every k, the rows with pivot >= k span the
     submodule of elements that vanish at coordinates 0..k-1.  ``from_rows``
@@ -259,7 +295,7 @@ class TModule:
     shadow t^(n-val) * row it passes on; ``colon`` relies on it for k = 1.
     """
 
-    __slots__ = ("p", "n", "ncoords", "rows", "pivots", "vals")
+    __slots__ = ("p", "n", "ncoords", "rows", "pivots", "vals", "b")
 
     def __init__(self, p, n, ncoords, rows, pivots, vals):
         self.p = p
@@ -268,11 +304,13 @@ class TModule:
         self.rows = rows
         self.pivots = pivots
         self.vals = vals
+        b = (n - 1).bit_length()  # _key_width(n), inline: built very often
+        self.b = b if b > 8 else 8
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, p, n, ncoords, gen_rows):
+    def from_rows(cls, p, n, ncoords, gen_rows, width=None):
         """Canonicalize arbitrary generating rows (Howell algorithm): one
         ascending sweep over the coordinates.
 
@@ -288,46 +326,65 @@ class TModule:
         coefficient lies in t^(n-e) R, so it is one of the shadow and those
         rows; the later buckets span the elements that vanish at 0..j.
 
-        Entries at t^n and beyond or at coordinates >= ncoords are dropped;
-        a negative coordinate or t-exponent raises ValueError."""
+        gen_rows are keyed with a t-field of ``width`` bits (default
+        _key_width(n)); rows of another width are re-keyed as they are
+        read.  Entries at t^n and beyond or at coordinates >= ncoords are
+        dropped; a negative key raises ValueError."""
+        b = _key_width(n)
+        mask = (1 << b) - 1
+        src = b if width is None else width
+        top = ncoords << src  # first key past the last coordinate
         buckets = [[] for _ in range(ncoords)]  # lowest coordinate -> rows
         for row in gen_rows:
-            if row and min(min(row)[0], min(te for _j, te in row)) < 0:
-                raise ValueError(f"negative coordinate or t-exponent in {row}")
-            r = {k: c % p for k, c in row.items()
-                 if k[1] < n and k[0] < ncoords and c % p}
+            if src == b:
+                r = {k: c % p for k, c in row.items()
+                     if k & mask < n and k < top and c % p}
+            else:
+                smask = (1 << src) - 1
+                r = {k >> src << b | k & smask: c % p for k, c in row.items()
+                     if k & smask < n and k < top and c % p}
             if r:
-                buckets[min(r)[0]].append(r)
+                j = min(r) >> b
+                if j < 0:
+                    raise ValueError(f"negative key in {row}")
+                buckets[j].append(r)
 
         rows, pivots, vals = [], [], []
         for j, bucket in enumerate(buckets):
             if not bucket:
                 continue
-            pivot = chosen = min(bucket, key=min)  # least valuation at j
-            e = min(pivot)[1]
+            # least valuation at j
+            pivot = chosen = (bucket[0] if len(bucket) == 1
+                              else min(bucket, key=min))
+            lo = min(pivot)
+            hi = (j + 1) << b  # every key at j lies in [lo, hi)
+            e = lo - (j << b)
             # make coordinate j exactly t^e
-            unit = {te - e: c for (jj, te), c in pivot.items() if jj == j}
+            unit = {k - lo: c for k, c in pivot.items() if k < hi}
             if len(unit) > 1:
-                pivot = _add_mul({}, pivot, _sp_inv(unit, n, p), n, p)
+                pivot = _add_mul({}, pivot, _sp_inv(unit, n, p), n, p, mask)
             elif unit[0] != 1:
                 inv = pow(unit[0], -1, p)
                 pivot = {k: c * inv % p for k, c in pivot.items()}
-            # t^(n-e) * pivot, nonzero tail of the annihilator multiple
-            rest = [{(jj, te + n - e): c for (jj, te), c in pivot.items()
-                     if te < e}]
+            if e:  # t^(n-e) * pivot, nonzero tail of the annihilator multiple
+                up = n - e
+                row = {k + up: c for k, c in pivot.items() if k & mask < e}
+                if row:
+                    buckets[min(row) >> b].append(row)
             for row in bucket:
                 if row is not chosen:
-                    _add_mul(row, pivot, {te - e: -c for (jj, te), c
-                                          in row.items() if jj == j}, n, p)
-                    rest.append(row)
-            for row in rest:
-                if row:
-                    buckets[min(row)[0]].append(row)
+                    _add_mul(row, pivot, {k - lo: -c for k, c in row.items()
+                                          if k < hi}, n, p, mask)
+                    if row:
+                        buckets[min(row) >> b].append(row)
             for row in rows:  # earlier pivots: entries at j below t^e
-                q = {te - e: -c for (jj, te), c in row.items()
-                     if jj == j and te >= e}
-                if q:
-                    _add_mul(row, pivot, q, n, p)
+                # a plain probe first: few rows hold anything at j
+                for k in row:
+                    if lo <= k < hi:
+                        q = {k - lo: -c for k, c in row.items()
+                             if lo <= k < hi}
+                        _add_mul(row, pivot, q, n, p, mask)
+                        break
             rows.append(pivot)
             pivots.append(j)
             vals.append(e)
@@ -335,7 +392,8 @@ class TModule:
 
     @classmethod
     def full(cls, p, n, ncoords):
-        rows = [{(j, 0): 1} for j in range(ncoords)]
+        b = _key_width(n)
+        rows = [{j << b: 1} for j in range(ncoords)]
         return cls(p, n, ncoords, rows, list(range(ncoords)), [0] * ncoords)
 
     # -- queries ---------------------------------------------------------------
@@ -348,29 +406,43 @@ class TModule:
         return sum(self.n - v for v in self.vals)
 
     def key(self):
+        b = self.b
+        mask = (1 << b) - 1
         return (self.n, self.ncoords,
-                tuple(tuple(sorted(r.items())) for r in self.rows))
+                tuple(tuple(((k >> b, k & mask), c)
+                            for k, c in sorted(r.items()))
+                      for r in self.rows))
 
     def __eq__(self, other):
-        return isinstance(other, TModule) and self.p == other.p and self.key() == other.key()
+        # canonical rows at the same n share one key width
+        return (isinstance(other, TModule) and self.p == other.p
+                and self.n == other.n and self.ncoords == other.ncoords
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash(self.key())
 
     def contains_vector(self, vec: dict) -> bool:
-        p, n = self.p, self.n
-        v = {k: c % p for k, c in vec.items() if c % p and k[1] < n}
-        by_pivot = dict(zip(self.pivots, zip(self.vals, self.rows)))
-        for j in range(self.ncoords):
-            entries = {te: c for (jj, te), c in v.items() if jj == j}
-            if not entries:
+        """Membership of a {(coord, t_exp): c} vector: the pivot rows in
+        turn clear its lowest coordinate; it is a member when nothing is
+        left."""
+        p, n, b = self.p, self.n, self.b
+        mask = (1 << b) - 1
+        v = {k: c % p for k, c in _encode(vec, n).items() if c % p}
+        for j, e, row in zip(self.pivots, self.vals, self.rows):
+            if not v:
+                break
+            lo = min(v)
+            if lo >> b != j:
+                if lo >> b < j:
+                    return False  # no pivot at its lowest coordinate
                 continue
-            if j not in by_pivot:
+            if lo & mask < e:
                 return False
-            e, row = by_pivot[j]
-            if min(entries) < e:
-                return False
-            _add_mul(v, row, {te - e: -c for te, c in entries.items()}, n, p)
+            pk = (j << b) + e  # the pivot's key
+            hi = (j + 1) << b
+            _add_mul(v, row, {k - pk: -c for k, c in v.items() if k < hi},
+                     n, p, mask)
         return not v
 
     # -- operations --------------------------------------------------------------
@@ -380,22 +452,24 @@ class TModule:
             return self
         if self.is_full:
             return TModule.full(self.p, n_to, self.ncoords)
-        return TModule.from_rows(self.p, n_to, self.ncoords, self.rows)
+        return TModule.from_rows(self.p, n_to, self.ncoords, self.rows, self.b)
 
     def colon(self):
         """{g : x_1 * g in M}, one coordinate fewer: by the Howell property
         the rows with pivot >= 1, shifted down one coordinate, are already
         its canonical form."""
         k = 1 if self.pivots[:1] == [0] else 0  # pivots increase
+        one = 1 << self.b  # coordinate 1 at t^0
         return TModule(self.p, self.n, self.ncoords - 1,
-                       [{(j - 1, te): c for (j, te), c in r.items()}
+                       [{key - one: c for key, c in r.items()}
                         for r in self.rows[k:]],
                        [j - 1 for j in self.pivots[k:]], self.vals[k:])
 
     def expand_rows(self):
-        """An F_p-basis of the module: t^b * row for 0 <= b < n - val."""
-        return [_add_mul({}, r, {b: 1}, self.n, self.p)
-                for r, v in zip(self.rows, self.vals) for b in range(self.n - v)]
+        """An F_p-basis of the module: t^s * row for 0 <= s < n - val."""
+        mask = (1 << self.b) - 1
+        return [_add_mul({}, r, {s: 1}, self.n, self.p, mask)
+                for r, v in zip(self.rows, self.vals) for s in range(self.n - v)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +579,12 @@ class MonomialSpace:
             return [Element(self.ctx, row) for row in self.rows.values()]
         out = []
         for w in sorted(self.columns):
-            for row in self.columns[w].expand_rows():
-                out.append(Element(
-                    self.ctx, {((j,) + w, te): c for (j, te), c in row.items()}))
+            mod = self.columns[w]
+            b = mod.b
+            mask = (1 << b) - 1
+            for row in mod.expand_rows():
+                out.append(Element(self.ctx, {((k >> b,) + w, k & mask): c
+                                              for k, c in row.items()}))
         return out
 
     def __eq__(self, other):
@@ -633,11 +710,15 @@ def _graded_space(ctx, bases_of):
 def _shifted_column(p, n, ncoords, bases):
     """Column module spanned by x_1^s * base for every (base, xdeg) and every
     shift s that keeps the x_1-degree xdeg + s below ncoords.  Bases are
-    {(x_1 exponent, t exponent): coeff} dicts; rows keep the order given."""
+    {(x_1 exponent, t exponent): coeff} dicts, encoded once each; rows keep
+    the order given."""
+    b = _key_width(n)
     rows = []
     for base, xdeg in bases:
+        base = _encode(base, n)
         for s in range(ncoords - xdeg):
-            rows.append({(j + s, te): c for (j, te), c in base.items()})
+            s <<= b
+            rows.append({k + s: c for k, c in base.items()})
     return TModule.from_rows(p, n, ncoords, rows)
 
 
@@ -882,39 +963,44 @@ def flat_limit(family, ctx: RingContext) -> MonomialSpace:
         raise ValueError("flat_limit needs exact coefficients (t_trunc=None)")
     p = ctx.prime
     terms = [el.terms if isinstance(el, Element) else dict(el) for el in family]
+    tes = [te for t in terms for (_a, te), c in t.items() if c % p]
+    if min(tes, default=0) < 0:
+        raise ValueError("negative t-exponent in a flat_limit family")
     cols = sorted({(a, 0) for t in terms for (a, _te), c in t.items() if c % p},
                   key=_order_key, reverse=True)
-    index = {a: j for j, (a, _z) in enumerate(cols)}
-    vectors = [{(index[a], te): c % p for (a, te), c in t.items() if c % p}
+    n = 1 + max(tes, default=0)
+    b = _key_width(n)
+    mask = (1 << b) - 1
+    index = {a: j << b for j, (a, _z) in enumerate(cols)}
+    vectors = [{index[a] | te: c % p for (a, te), c in t.items() if c % p}
                for t in terms]
-    n = 1 + max((te for vec in vectors for _j, te in vec), default=0)
 
-    basis = []  # (pivot coordinate, row with the entry 1 there at t^0)
+    basis = []  # (pivot key at t^0, row with the entry 1 there)
     basis_tdeg = 0
     for vec in vectors:
         if len(basis) == len(cols):
             break
-        room = basis_tdeg + max((te for _j, te in vec), default=0)
+        room = basis_tdeg + max((k & mask for k in vec), default=0)
         while vec:
-            val = min(te for _j, te in vec)
+            val = min(k & mask for k in vec)
             room -= val
             if room < 0:
                 break  # dependent over F_p(t)
             if val:
-                vec = {(j, te - val): c for (j, te), c in vec.items()}
+                vec = {k - val: c for k, c in vec.items()}
             for pivot, brow in basis:
-                c = vec.get((pivot, 0))
+                c = vec.get(pivot)
                 if c:
-                    _add_mul(vec, brow, {0: p - c}, n, p)
-            head = [j for j, te in vec if te == 0]
-            if head:
-                pivot = min(head)
-                vec = _add_mul({}, vec, {0: pow(vec[(pivot, 0)], -1, p)}, n, p)
+                    _add_mul(vec, brow, {0: p - c}, n, p, mask)
+            pivot = min((k for k in vec if not k & mask), default=None)
+            if pivot is not None:
+                vec = _add_mul({}, vec, {0: pow(vec[pivot], -1, p)}, n, p,
+                               mask)
                 basis.append((pivot, vec))
-                basis_tdeg += max(te for _j, te in vec)
+                basis_tdeg += max(k & mask for k in vec)
                 break
             # t=0 layer cancelled; loop divides by t again
 
-    limit_rows = [{cols[j]: c for (j, te), c in row.items() if te == 0}
+    limit_rows = [{cols[k >> b]: c for k, c in row.items() if not k & mask}
                   for _pivot, row in basis]
     return MonomialSpace(ctx.with_t(1), rows=_sparse_rref(limit_rows, p))

@@ -24,7 +24,7 @@ from limitseries.staircase import (StaircaseTuple, make_staircase,
                                    vertical_collision)
 
 from util import (SECOND_PRIME, chain_corpus, collision_limit_oracle,
-                  monomial_span, staircases_up_to)
+                  decode_rows, monomial_span, staircases_up_to)
 
 CORPUS_SEED = 20260810
 ORACLE_PRIME = 1000003  # large enough for every degree in play at desk scale
@@ -77,7 +77,8 @@ def test_criterion_3_trace_inclusion(corpus):
         t_k = ns[-1] // v
         for w, module in pre.columns.items():
             if E.height(w) > t_k:
-                if any(key[0] == 0 for row in module.rows for key in row):
+                if any(key[0] == 0 for row in decode_rows(module)
+                       for key in row):
                     failures.append((E, v, ns, w))
     _report(3, not failures,
             f"pre-colon chain sits inside the slice ideal on "

@@ -40,7 +40,8 @@ def test_tracer_resolves_every_traced_name_and_counted_parameter():
         linalg.rank_mod_p([[1, 2], [2, 4]], P)
         linalg.kernel_mod_p([[1, 2]], 2, P)
         linalg.kernel_over_fpt([[[1], [0, 1]]], 2, P)
-        localring.TModule.from_rows(P, 2, 2, [{(0, 0): 1}])
+        localring.TModule.from_rows(P, 2, 2,
+                                    [localring._encode({(0, 0): 1}, 2)])
         localring.flat_limit([Element(ctx, {((1,), 1): 1})], ctx)
     counted = [name for name, (_mod, _path, count) in spans.TRACED.items()
                if count is not None]

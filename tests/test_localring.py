@@ -16,7 +16,8 @@ from limitseries.errors import (BoundaryWarning, CapExceeded,
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
                                 padd, pmul, pnorm, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _translated_power,
+                                   RingContext, TModule, _key_width,
+                                   _translated_power,
                                    boundary_columns,
                                    chain_context, closed_form_residual,
                                    closed_form_span, colon_x1, flat_limit,
@@ -25,7 +26,8 @@ from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
 from limitseries.staircase import make_staircase, regular, suppress_seq
 
 from util import (bench_pyramid_chains, bench_workloads, canonical,
-                  chain_corpus, howell_bucket_corpus, howell_corpus,
+                  chain_corpus, decode_rows, encode_rows,
+                  howell_bucket_corpus, howell_corpus,
                   monomial_span, plain_closed_form, plain_flat_limit,
                   plain_from_rows, plain_rref_mod_p, plain_special_fiber,
                   random_staircase, torus_corpus, torus_flat_limit,
@@ -401,7 +403,7 @@ class TestTraceInclusion:
             t_k = ns[-1] // v
             for w, module in pre.columns.items():
                 if E.height(w) > t_k:
-                    for row in module.rows:
+                    for row in decode_rows(module):
                         assert all(key[0] >= 1 for key in row), \
                             f"trace fails at {E}, v={v}, ns={ns}, col {w}"
 
@@ -731,7 +733,7 @@ class TestHowellModule:
                 for _ in range(rng.randint(1, 5)):
                     row[(rng.randrange(m), rng.randrange(n))] = rng.randrange(1, p)
                 rows.append(row)
-            mod = TModule.from_rows(p, n, m, rows)
+            mod = TModule.from_rows(p, n, m, encode_rows(rows, n))
             assert mod.dim_fp() == len(self._fp_span(rows, n, m, p))
             regen = TModule.from_rows(p, n, m, mod.expand_rows())
             assert regen == mod
@@ -743,7 +745,7 @@ class TestHowellModule:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             rows = [{(rng.randrange(m), rng.randrange(n)): rng.randrange(1, p)
                      for _ in range(3)} for _ in range(2)]
-            mod = TModule.from_rows(p, n, m, rows)
+            mod = TModule.from_rows(p, n, m, encode_rows(rows, n))
             # random R-combination of the generators must be a member
             combo = {}
             for row in rows:
@@ -765,7 +767,7 @@ class TestHowellModule:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             rows = [{(rng.randrange(m), rng.randrange(n)): rng.randrange(1, p)
                      for _ in range(3)} for _ in range(rng.randint(1, 3))]
-            mod = TModule.from_rows(p, n, m, rows)
+            mod = TModule.from_rows(p, n, m, encode_rows(rows, n))
             span = self._fp_span(rows, n, m, p)
             for _ in range(4):
                 vec = {}
@@ -795,17 +797,18 @@ class TestHowellAgreesWithPlain:
     are reduced on the spot.  plain_from_rows runs a pending stack: a row
     of lower valuation displaces a slot row, and a back-reduction pass
     follows.  The Howell form is unique, so rows, pivots and vals must be
-    identical."""
+    identical.  Inputs are encoded for from_rows and its rows decoded for
+    the comparison."""
 
     @staticmethod
     def same(got, p, n, ncoords, rows):
         ref = plain_from_rows(p, n, ncoords, rows)
-        assert (got.rows, got.pivots, got.vals) == \
+        assert (decode_rows(got), got.pivots, got.vals) == \
             (ref.rows, ref.pivots, ref.vals)
 
     def test_seeded_corpus(self):
         for p, n, ncoords, rows in howell_corpus(seed=15, count=1000):
-            self.same(TModule.from_rows(p, n, ncoords, rows),
+            self.same(TModule.from_rows(p, n, ncoords, encode_rows(rows, n)),
                       p, n, ncoords, rows)
 
     def test_bucket_family(self):
@@ -815,7 +818,7 @@ class TestHowellAgreesWithPlain:
         corpus = howell_bucket_corpus(seed=19)
         seen = set()
         for p, n, ncoords, rows in corpus:
-            self.same(TModule.from_rows(p, n, ncoords, rows),
+            self.same(TModule.from_rows(p, n, ncoords, encode_rows(rows, n)),
                       p, n, ncoords, rows)
             starts = {min(r)[0] for r in rows}
             for j in starts:
@@ -842,12 +845,15 @@ class TestHowellAgreesWithPlain:
         fast = TModule.from_rows.__func__
         calls = {}
 
-        def recording(cls, p, n, ncoords, gen_rows):
-            gen_rows = [dict(r) for r in gen_rows]
-            out = fast(cls, p, n, ncoords, gen_rows)
+        def recording(cls, p, n, ncoords, gen_rows, width=None):
+            b = _key_width(n) if width is None else width
+            mask = (1 << b) - 1
+            rows = [{(k >> b, k & mask): c for k, c in r.items()}
+                    for r in gen_rows]
+            out = fast(cls, p, n, ncoords, gen_rows, width)
             key = (p, n, ncoords,
-                   tuple(tuple(sorted(r.items())) for r in gen_rows))
-            calls[key] = (out, p, n, ncoords, gen_rows)
+                   tuple(tuple(sorted(r.items())) for r in rows))
+            calls[key] = (out, p, n, ncoords, rows)
             return out
 
         monkeypatch.setattr(TModule, "from_rows", classmethod(recording))
@@ -862,9 +868,117 @@ class TestHowellAgreesWithPlain:
     def test_negative_keys_refused(self):
         # a negative coordinate would index slots[-1], the last slot
         raises_value_error_quickly(
-            lambda: TModule.from_rows(101, 3, 3, [{(-1, 0): 1}]))
+            lambda: TModule.from_rows(101, 3, 3, encode_rows([{(-1, 0): 1}], 3)))
         raises_value_error_quickly(
-            lambda: TModule.from_rows(101, 3, 3, [{(0, 0): 1, (1, -1): 1}]))
+            lambda: TModule.from_rows(101, 3, 3, encode_rows(
+                [{(0, 0): 1, (1, -1): 1}], 3)))
+
+
+class TestKeyWidthEdges:
+    """Row keys are coord << b | t_exp with b = max(8, (n - 1).bit_length())
+    for truncation n.  Today's outputs where the t-field is widest, where it
+    is narrowest (n = 1) and where a truncation narrows it: a field too
+    narrow for its t-exponents spills them into the coordinate bits."""
+
+    Q = 2**61 - 1  # the default prime
+
+    def test_large_levels_pinned(self):
+        Q = self.Q
+        cases = [
+            ([1], 1, [70000], 140001,
+             [((0,), (70000, 2, ((((0, 1), 1), ((1, 0), Q - 1)),
+                                 (((1, 69998), 1),)))),
+              ((1,), (70000, 1, ((((0, 0), 1),),)))]),
+            ([2, 1], 40000, [80001], 360003,
+             [((0,), (80001, 3, ((((0, 40001), 1), ((1, 1), Q // 2)),
+                                 (((1, 40000), 1), ((2, 0), 1537228672809129300)),
+                                 (((2, 1), 1),)))),
+              ((1,), (80001, 2, ((((0, 40000), 1), ((1, 0), Q - 1)),
+                                 (((1, 1), 1),)))),
+              ((2,), (80001, 1, ((((0, 0), 1),),)))]),
+        ]
+        for heights, v, ns, dim, columns in cases:
+            space = residual_chain(make_staircase(heights), v, ns)
+            assert space.dimension() == dim
+            assert canonical(space) == (columns, ns[0], len(heights))
+
+    def test_large_t_flat_limit_pinned(self):
+        c = RingContext(dim=2, prime=1000003, x_cap=2)
+        x, y, one = (1, 0), (0, 1), (0, 0)
+        lim = flat_limit([Element(c, {(x, 0): 1, (y, 70000): 1}),
+                          Element(c, {(x, 0): 1, (one, 70000): 1})], c)
+        assert lim.rows == {(x, 0): {(x, 0): 1},
+                            (y, 0): {(y, 0): 1, (one, 0): 1000002}}
+
+    def test_one_level_modules_pinned(self):
+        rows = [{(1, 0): 3, (2, 0): 1, (3, 0): 4}, {(1, 0): 1, (2, 0): 5},
+                {(0, 1): 1, (3, 0): 2}]
+        mod = TModule.from_rows(7, 1, 4, encode_rows(rows, 1))
+        assert mod.key() == (1, 4, ((((1, 0), 1), ((2, 0), 5)),
+                                    (((3, 0), 1),)))
+        assert (mod.pivots, mod.vals, mod.dim_fp()) == ([1, 3], [0, 0], 2)
+        assert mod.colon().key() == (1, 3, ((((0, 0), 1), ((1, 0), 5)),
+                                            (((2, 0), 1),)))
+        assert mod.truncate(1) is mod
+        assert TModule.full(7, 1, 3).key() == \
+            (1, 3, ((((0, 0), 1),), (((1, 0), 1),), (((2, 0), 1),)))
+        space = residual_chain(make_staircase([3, 1]), 2, [1])
+        assert space.dimension() == 8
+        assert canonical(space) == ([
+            ((0,), (1, 4, ((((2, 0), 1),), (((3, 0), 1),)))),
+            ((1,), (1, 3, ((((0, 0), 1),), (((1, 0), 1),), (((2, 0), 1),)))),
+            ((2,), (1, 2, ((((0, 0), 1),), (((1, 0), 1),)))),
+            ((3,), (1, 1, ((((0, 0), 1),),)))], 1, 3)
+
+    @staticmethod
+    def check_truncations(mod, levels):
+        """mod.truncate(n) for each n in turn against plain_from_rows of
+        the previous module's decoded rows."""
+        for n in levels:
+            out = mod.truncate(n)
+            ref = plain_from_rows(mod.p, n, mod.ncoords, decode_rows(mod))
+            assert (decode_rows(out), out.pivots, out.vals) == \
+                (ref.rows, ref.pivots, ref.vals)
+            mod = out
+
+    def test_truncation_narrows_the_field(self):
+        """Levels 300 -> 35 -> 1: a 9-bit t-field, then an 8-bit one."""
+        assert [TModule.full(101, n, 1).b for n in (300, 35, 1)] == [9, 8, 8]
+        rng = random.Random(23)
+        for p in (2, 101, 2**61 - 1):
+            for _ in range(20):
+                m = rng.randint(1, 6)
+                rows = [{(rng.randrange(m), rng.randrange(300)): rng.randrange(1, p)
+                         for _ in range(rng.randint(1, 5))}
+                        for _ in range(rng.randint(1, 4))]
+                mod = TModule.from_rows(p, 300, m, encode_rows(rows, 300))
+                assert decode_rows(mod) == \
+                    plain_from_rows(p, 300, m, rows).rows
+                self.check_truncations(mod, (35, 1))
+        E, v, ns = make_staircase([2]), 140, [300, 35, 1]
+        ctx = chain_context(E, v, ns)
+        top = restriction_chain(E, v, ns[:1], ctx)
+        assert max(k & 511 for m in top.columns.values()
+                   for r in m.rows for k in r) >= 256  # needs the 9th bit
+        for mod in top.columns.values():
+            self.check_truncations(mod, (35, 1))
+        assert residual_chain(E, v, ns, ctx) == closed_form_span(E, v, ns, ctx)
+
+    def test_equality_reads_every_field(self):
+        a = TModule.full(7, 2, 3)
+        for other in (TModule.full(7, 3, 3), TModule.full(11, 2, 3),
+                      TModule.full(7, 2, 4), TModule.from_rows(7, 2, 3, [])):
+            assert a != other
+        assert a == TModule.from_rows(7, 2, 3, a.rows)
+        assert hash(a) == hash(TModule.from_rows(7, 2, 3, a.rows))
+
+    def test_negative_tuples_refused(self):
+        c = RingContext(dim=2, prime=P, x_cap=2)
+        mod = TModule.full(P, 3, 3)
+        for vec in ({(-1, 0): 1}, {(0, 0): 1, (1, -1): 1}):
+            raises_value_error_quickly(lambda: mod.contains_vector(vec))
+        raises_value_error_quickly(
+            lambda: flat_limit([{((1, 0), -1): 1, ((0, 1), 0): 1}], c))
 
 
 class TestModuleColon:
@@ -877,7 +991,8 @@ class TestModuleColon:
         """{g : x_1 g in M} over F_p through kernels: M is the annihilator
         of its annihilator, so the condition on g is linear.  RREF rows."""
         p, n, m = mod.p, mod.n, mod.ncoords
-        perp = kernel_mod_p(TestHowellModule._fp_span(mod.rows, n, m, p),
+        perp = kernel_mod_p(TestHowellModule._fp_span(decode_rows(mod), n,
+                                                      m, p),
                             m * n, p)
         conditions = [[w[(j + 1) * n + te] for j in range(m - 1)
                        for te in range(n)] for w in perp]
@@ -886,15 +1001,16 @@ class TestModuleColon:
     @staticmethod
     def modules():
         p, n = 97, 4
-        yield TModule.from_rows(p, n, 3, [{(0, 2): 1, (1, 0): 5}])  # val 2 at 0
-        yield TModule.from_rows(p, n, 3, [{(0, 1): 3, (0, 2): 1, (2, 0): 1},
-                                          {(1, 3): 1}])
+        yield TModule.from_rows(p, n, 3, encode_rows(
+            [{(0, 2): 1, (1, 0): 5}], n))  # val 2 at 0
+        yield TModule.from_rows(p, n, 3, encode_rows(
+            [{(0, 1): 3, (0, 2): 1, (2, 0): 1}, {(1, 3): 1}], n))
         yield TModule.full(p, n, 4)
         yield TModule.from_rows(p, n, 4, [])  # the zero module
-        yield TModule.from_rows(p, n, 1, [{(0, 1): 1}])  # one coordinate
+        yield TModule.from_rows(p, n, 1, encode_rows([{(0, 1): 1}], n))
         yield TModule.full(p, n, 1)
         for p, n, ncoords, rows in howell_corpus(seed=16, count=150):
-            yield TModule.from_rows(p, n, ncoords, rows)
+            yield TModule.from_rows(p, n, ncoords, encode_rows(rows, n))
 
     def test_colon_is_canonical(self):
         seen = set()
@@ -902,12 +1018,13 @@ class TestModuleColon:
             out = mod.colon()
             p, n, m = mod.p, mod.n, mod.ncoords
             shifted = [{(j - 1, te): c for (j, te), c in r.items()}
-                       for r, j in zip(mod.rows, mod.pivots) if j >= 1]
-            for ref in (TModule.from_rows(p, n, m - 1, shifted),
-                        plain_from_rows(p, n, m - 1, shifted)):
-                assert (out.ncoords, out.rows, out.pivots, out.vals) == \
-                    (ref.ncoords, ref.rows, ref.pivots, ref.vals)
-            assert TestHowellModule._fp_span(out.rows, n, m - 1, p) == \
+                       for r, j in zip(decode_rows(mod), mod.pivots) if j >= 1]
+            fast = TModule.from_rows(p, n, m - 1, encode_rows(shifted, n))
+            plain = plain_from_rows(p, n, m - 1, shifted)
+            got = (out.ncoords, decode_rows(out), out.pivots, out.vals)
+            for ref_rows, ref in ((decode_rows(fast), fast), (plain.rows, plain)):
+                assert got == (ref.ncoords, ref_rows, ref.pivots, ref.vals)
+            assert TestHowellModule._fp_span(decode_rows(out), n, m - 1, p) == \
                 self.dense_colon(mod)
             seen.add((bool(mod.pivots) and mod.pivots[0] == 0
                       and mod.vals[0] > 0, mod.is_full, not mod.rows, m == 1))

@@ -14,7 +14,7 @@ from limitseries.interp import (Site, _materialize, conditions_matrix,
 from limitseries.linalg import (_BYTE_ROUTE_BITS, _slot_width,
                                 kernel_mod_p, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _add_mul, _order_key,
+                                   RingContext, TModule, _encode, _order_key,
                                    _sp_inv, _sparse_rref, flat_limit)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
@@ -176,10 +176,39 @@ def plain_flat_limit(family, ctx: RingContext) -> MonomialSpace:
     return MonomialSpace(ctx.with_t(1), rows=_sparse_rref(limit_rows, p))
 
 
+def encode_rows(rows, n):
+    """{(coord, t_exp): c} rows keyed as TModule rows of truncation n."""
+    return [_encode(row, n) for row in rows]
+
+
+def decode_rows(mod):
+    """A TModule's rows as {(coord, t_exp): c} dicts."""
+    b = mod.b
+    mask = (1 << b) - 1
+    return [{(k >> b, k & mask): c for k, c in row.items()} for row in mod.rows]
+
+
+def _plain_add_mul(row, other, q, n, p):
+    """row += q(t) * other in place on {(coord, t_exp): c} rows, dropping
+    t^n and beyond."""
+    for qe, qc in q.items():
+        for (j, te), c in other.items():
+            te2 = te + qe
+            if te2 < n:
+                k = (j, te2)
+                v = (row.get(k, 0) + c * qc) % p
+                if v:
+                    row[k] = v
+                elif k in row:
+                    del row[k]
+    return row
+
+
 def plain_from_rows(p, n, ncoords, gen_rows):
-    """Howell canonicalisation that normalises every popped row and cancels
-    a displaced slot row on the spot: the reference TModule.from_rows must
-    match, rows, pivots and vals."""
+    """Howell canonicalisation on {(coord, t_exp): c} rows with its own row
+    update, that normalises every popped row and cancels a displaced slot
+    row on the spot: the reference TModule.from_rows must match, rows
+    (decoded), pivots and vals.  Its rows stay tuple-keyed."""
     slots: list = [None] * ncoords  # pivot coordinate -> (row, val)
     pending = []
     for row in gen_rows:
@@ -195,13 +224,13 @@ def plain_from_rows(p, n, ncoords, gen_rows):
         unit = {k[1] - e: c for k, c in row.items() if k[0] == j}
         if unit != {0: 1}:
             # coordinate j becomes exactly t^e: unit * unit^-1 = 1 mod t^n
-            row = _add_mul({}, row, _sp_inv(unit, n, p), n, p)
+            row = _plain_add_mul({}, row, _sp_inv(unit, n, p), n, p)
         if slots[j] is None or e < slots[j][1]:
             old = slots[j]
             slots[j] = (row, e)
             if e > 0:
                 # t^(n-e) * row, nonzero tail of the annihilator multiple
-                sh = _add_mul({}, row, {n - e: 1}, n, p)
+                sh = _plain_add_mul({}, row, {n - e: 1}, n, p)
                 if sh:
                     pending.append(sh)
             if old is None:
@@ -209,7 +238,7 @@ def plain_from_rows(p, n, ncoords, gen_rows):
             row, e = old
         # slot pivot val <= e: cancel coordinate j of row exactly
         srow, se = slots[j]
-        _add_mul(row, srow, {e - se: p - 1}, n, p)
+        _plain_add_mul(row, srow, {e - se: p - 1}, n, p)
         if row:
             pending.append(row)
 
@@ -223,7 +252,7 @@ def plain_from_rows(p, n, ncoords, gen_rows):
             q = {te - es: -c for (jj, te), c in r.items()
                  if jj == js and te >= es}
             if q:
-                _add_mul(r, srow, q, n, p)
+                _plain_add_mul(r, srow, q, n, p)
     return TModule(p, n, ncoords, rows, pivots, vals)
 
 
@@ -699,14 +728,15 @@ def plain_special_fiber(obj) -> MonomialSpace:
     cols = {}
     for w, m in obj.columns.items():
         rows = []
-        for r in m.rows:
+        for r in decode_rows(m):
             vec = [0] * m.ncoords
             for (jj, te), c in r.items():
                 if te == 0:
                     vec[jj] = c
             if any(vec):
                 rows.append({(j, 0): c for j, c in enumerate(vec) if c})
-        cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords, rows)
+        cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords,
+                                    encode_rows(rows, 1))
     return MonomialSpace.from_columns(ctx, cols)
 
 
