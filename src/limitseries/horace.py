@@ -125,7 +125,9 @@ class LineSystemModel:
 @dataclass(frozen=True)
 class OracleScene:
     """Concrete desk-scale geometry: the divisor is the line x = 0;
-    multiplicities of fat-point base conditions on and off it."""
+    multiplicities of fat-point base conditions on and off it.
+    Multiplicities are integers >= 1, the prime a prime and the seed an
+    integer."""
 
     divisor_base: tuple = ()
     ambient_base: tuple = ()
@@ -133,8 +135,14 @@ class OracleScene:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "divisor_base", tuple(self.divisor_base))
-        object.__setattr__(self, "ambient_base", tuple(self.ambient_base))
+        for name in ("divisor_base", "ambient_base"):
+            base = _integers(getattr(self, name), "multiplicity")
+            if any(M < 1 for M in base):
+                raise ValueError(f"multiplicities must be >= 1, got {base}")
+            object.__setattr__(self, name, base)
+        object.__setattr__(self, "prime",
+                           require_prime(_integer(self.prime, "prime")))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -408,7 +416,6 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         raise ValueError("trials must be >= 1")
     _require_desk_scale(plan, model, scene)
     p = scene.prime
-    require_prime(p)
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
     least = None
     for _ in range(trials):
@@ -565,7 +572,6 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     _require_desk_scale(plan, model, scene)
     d = model.degree
     p = scene.prime
-    require_prime(p)
     rng = random.Random(f"{seed}:{scene.seed}:limit")
     placed = _materialize_scene(plan, scene, rng, p)
     cols = _x_block_columns(d)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import product
 from math import comb
 from operator import index
 
@@ -44,7 +43,7 @@ from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
                      InvalidTruncation, PrimeTooSmall)
 from .linalg import DEFAULT_PRIME, is_prime, rref_mod_p
-from .staircase import Staircase, _integers
+from .staircase import Staircase, _integer, _integers
 
 # ---------------------------------------------------------------------------
 # contexts and elements
@@ -518,6 +517,12 @@ class MonomialSpace:
     ``truncate``, ``colon_x1`` and ``special_fiber`` raise TypeError on it.
     A chain is ``truncate(n_1)``, ``colon_x1()``, ``truncate(n_2)``, ...
     on a graded space, and its special fiber is ``truncate(1)``.
+
+    The x-cap rule: a graded space tracks the monomials of total x-degree
+    at most ``ctx.x_cap`` (a colon lowers it by one): a column for each w
+    with |w| <= cap, of x_1 exponents 0..cap - |w|.  ``contains`` raises
+    CapExceeded above the cap; graded spaces are equal when caps and
+    columns are.
     """
 
     __slots__ = ("ctx", "columns", "rows")
@@ -559,19 +564,16 @@ class MonomialSpace:
             # in the span iff adding it leaves the number of rows unchanged
             grown = _sparse_rref([*self.rows.values(), terms], p)
             return len(grown) == len(self.rows)
+        cap = self.ctx.x_cap
         split: dict = {}
         for (a, te), c in terms.items():
             if c % p == 0:
                 continue
-            w = a[1:]
-            split.setdefault(w, {})[(a[0], te)] = c
-        for w, vec in split.items():
-            mod = self.columns.get(w)
-            if mod is None:
-                raise CapExceeded(f"column {w} outside the tracked cap")
-            if not mod.contains_vector(vec):
-                return False
-        return True
+            if sum(a) > cap:
+                raise CapExceeded(f"x^{a} outside the tracked cap {cap}")
+            split.setdefault(a[1:], {})[(a[0], te)] = c
+        return all(self.columns[w].contains_vector(vec)
+                   for w, vec in split.items())
 
     def basis(self):
         """Basis as Elements (expands a graded layout)."""
@@ -595,17 +597,8 @@ class MonomialSpace:
         if self.ctx.t_trunc != other.ctx.t_trunc:
             return False
         if self.columns is not None and other.columns is not None:
-            keys = set(self.columns) | set(other.columns)
-            for w in keys:
-                a = self.columns.get(w)
-                b = other.columns.get(w)
-                if a is None or b is None:
-                    if (a or b) and (a.rows if a else b.rows):
-                        return False
-                    continue
-                if a != b:
-                    return False
-            return True
+            return (self.ctx.x_cap == other.ctx.x_cap
+                    and self.columns == other.columns)
         if self.rows is not None and other.rows is not None:
             return self.rows == other.rows
         graded, plain = (self, other) if self.columns is not None else (other, self)
@@ -737,6 +730,14 @@ def _require_dim(E, ctx):
         raise ValueError("staircase dimension does not match the context")
 
 
+def _speed(v):
+    """The speed of x_1 -> x_1 - t^v, an integer >= 1."""
+    v = _integer(v, "speed v")
+    if v < 1:
+        raise ValueError(f"speed v must be >= 1, got {v}")
+    return v
+
+
 def _translated_power(h, v, n, shift=0):
     """t^shift * (x_1 - t^v)^h below t^n, as {(x_1 exponent, t exponent): c}
     with integer coefficients (every consumer reduces them mod p)."""
@@ -750,8 +751,7 @@ def _translated_power(h, v, n, shift=0):
 
 def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
     """J(E, v): the ideal of the staircase translated by x_1 -> x_1 - t^v."""
-    if v < 1:
-        raise ValueError("speed v must be >= 1")
+    v = _speed(v)
     _require_dim(E, ctx)
     gens = []
     for c in E.complement_generators():
@@ -772,33 +772,33 @@ def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
 # ---------------------------------------------------------------------------
 
 
-def _validate_levels(ns):
-    ns = list(_integers(ns, "level"))
+def _chain_entry(E, v, ns, ctx, prime=DEFAULT_PRIME):
+    """(v, levels, context) of a chain of E, checked: a speed >= 1,
+    strictly decreasing levels >= 1, and E's dimension and an x-cap of at
+    least k + (largest cell degree) + 1 for k levels: a colon uses one, and
+    a minimal generator c of the complement has c - e_i in E for some i.
+    ctx None builds the least such context, at t^{n_1} (no levels: t^{v *
+    largest height + 1})."""
+    v = _speed(v)
+    ns = list(_integers(ns or (), "level"))
     if any(n < 1 for n in ns):
         raise InvalidSequence(f"levels must be >= 1, got {ns}")
     if any(a <= b for a, b in zip(ns, ns[1:])):
         raise InvalidSequence(f"levels must strictly decrease, got {ns}")
-    return ns
-
-
-def _headroom(E, k, ctx=None):
-    """x-degree cap a k-level chain of E needs: k colons on top of its
-    largest generator degree and its largest cell degree plus one.  With a
-    context whose x-cap is below it, raise CapExceeded."""
-    gen_deg = max((sum(c) for c in E.complement_generators()), default=0)
-    fit = max((h + sum(w) for w, h in E.heights.items()), default=0)
-    need = k + max(gen_deg, fit)
-    if ctx is not None and ctx.x_cap < need:
+    need = len(ns) + E.max_cell_degree() + 1
+    if ctx is None:
+        ctx = RingContext(dim=E.dim, prime=prime,
+                          t_trunc=ns[0] if ns else v * E.max_height + 1,
+                          x_cap=max(1, need))
+    _require_dim(E, ctx)
+    if ctx.x_cap < need:
         raise CapExceeded(f"x_cap {ctx.x_cap} below needed headroom {need}")
-    return need
+    return v, ns, ctx
 
 
 def chain_context(E: Staircase, v: int, ns, prime=DEFAULT_PRIME) -> RingContext:
     """Smallest context with enough x- and t-headroom for the chain."""
-    ns = _validate_levels(ns) if ns else []
-    n1 = ns[0] if ns else v * E.max_height + 1
-    return RingContext(dim=E.dim, prime=prime, t_trunc=n1,
-                       x_cap=max(1, _headroom(E, len(ns))))
+    return _chain_entry(E, v, ns, None, prime)[2]
 
 
 def boundary_columns(E: Staircase, v: int, ns):
@@ -812,15 +812,13 @@ def boundary_columns(E: Staircase, v: int, ns):
 
 
 def _chain_columns(E, v, ns, ctx, final_colon):
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
-    ns = _validate_levels(ns)
+    v, ns, ctx = _chain_entry(E, v, ns, ctx)
+    if not ns:
+        raise InvalidSequence("a chain needs at least one level")
     k = len(ns)
-    _require_dim(E, ctx)
     if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
         raise InvalidTruncation(
             f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
-    _headroom(E, k, ctx)
     hits = boundary_columns(E, v, ns)
     if hits:
         warnings.warn(
@@ -872,20 +870,19 @@ def special_fiber(obj) -> MonomialSpace:
 
 
 def _closed_form_bases(E, v, ns, ctx):
-    """(n_k, {w: rows}) of the closed form, one entry per column w of
-    positive height h.  Its rows are (f_w, h) and (t^alpha f_w / x_1^i,
-    h - i) for i = 1..k, in that order, where f_w = (x_1 - t^v)^h and
-    alpha = max(0, n_{k-i+1} - v*h); each is an {(x_1 exponent, t
-    exponent): c} dict below t^{n_k}, empty when alpha >= n_k.
+    """(context at t^{n_k}, k, {w: rows}) of the closed form, one entry per
+    column w of positive height h, in the context _chain_entry checked.
+    Its rows are (f_w, h) and (t^alpha f_w / x_1^i, h - i) for i = 1..k,
+    in that order, where f_w = (x_1 - t^v)^h and alpha = max(0, n_{k-i+1}
+    - v*h); each is an {(x_1 exponent, t exponent): c} dict below t^{n_k},
+    empty when alpha >= n_k.
 
     Division is witnessed: any low-order x_1 coefficient that fails to
     vanish raises DivisionWitnessFailure, which signals a level sequence
     that breaks the gap rule for this (E,v).  A context with less x-cap
     than the chain's headroom raises CapExceeded, as the chain does."""
-    _require_dim(E, ctx)
-    ns = _validate_levels(ns) if ns else []
+    v, ns, ctx = _chain_entry(E, v, ns, ctx)
     k = len(ns)
-    _headroom(E, k, ctx)
     n_k = ns[-1] if ns else ctx.t_trunc
     if n_k is None:
         raise ValueError("closed form needs a finite t-truncation")
@@ -903,17 +900,14 @@ def _closed_form_bases(E, v, ns, ctx):
                     f"in R_{n_k}; levels {ns} are invalid for v={v}, h={h}")
             rows.append(({(l - i, te): c for (l, te), c in num.items()}, h - i))
         bases[w] = rows
-    return n_k, bases
+    return ctx.with_t(n_k), k, bases
 
 
 def closed_form_residual(E: Staircase, v: int, ns, ctx=None) -> FamilyIdeal:
     """Generators f_m and t^{alpha_{k-i+1}} f_m / x_1^i of the residual
     chain, by exact division in R_{n_k} (see _closed_form_bases).  A
     generator truncated away entirely stays, as zero."""
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
-    n_k, bases = _closed_form_bases(E, v, ns, ctx)
-    ectx = ctx.with_t(n_k)
+    ectx, _k, bases = _closed_form_bases(E, v, ns, ctx)
     gens = tuple(Element(ectx, {((j,) + w, te): c for (j, te), c in row.items()})
                  for w, rows in bases.items() for row, _xdeg in rows)
     return FamilyIdeal(ectx, gens, "derived")
@@ -923,11 +917,9 @@ def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """Span of the closed form as an (x_1, t)-module, plus the untouched
     block of columns with height zero; directly comparable with
     residual_chain output."""
-    if ctx is None:
-        ctx = chain_context(E, v, ns)
-    n_k, bases = _closed_form_bases(E, v, ns, ctx)
+    ectx, k, bases = _closed_form_bases(E, v, ns, ctx)
     return _graded_space(
-        ctx.with_t(n_k).with_cap(ctx.x_cap - len(ns or ())),
+        ectx.with_cap(ectx.x_cap - k),
         lambda w: [(row, xdeg) for row, xdeg in bases[w] if row]
         if w in bases else None)
 

@@ -367,6 +367,20 @@ class TestLimitCommand:
         assert code == 2
         assert err.startswith("error: ") and "not prime" in err
 
+    def test_non_prime_scene_refused_in_degree_count_mode(self, tmp_path,
+                                                          capsys):
+        # the scene checks its prime when it is read, so a plan whose
+        # degree count fails before any use of the scene is refused as
+        # invalid input too (it used to exit 1 on the failed hypothesis)
+        plan = {"shapes": [[2, 1]], "speeds": [1], "levels": [3],
+                "model": {"degree": 3, "line_base_degrees": [0]},
+                "scene": {"divisor_base": [1], "prime": 91, "seed": 1}}
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(plan))
+        code, out, err = run(capsys, "limit", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: 91 is not prime\n"
+
     def test_t_prec_flag_removed(self, tmp_path, capsys):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps(PLAN_OK))

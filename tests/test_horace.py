@@ -4,7 +4,8 @@ import pytest
 
 from limitseries import horace
 from limitseries.errors import (DomainError, HypothesisFailed,
-                                LengthMismatch, OracleResourceLimit)
+                                LengthMismatch, OracleResourceLimit,
+                                PrimeTooSmall)
 from limitseries.horace import (LineSystemModel, OracleScene,
                                 SpecializationPlan, apply_theorem,
                                 build_nagata_plan, hypothesis_check,
@@ -182,6 +183,20 @@ class TestHypothesisCheck:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             apply_theorem(plan, model, "oracle", scene, allow_boundary=True,
                           trials=trials)
+
+    @pytest.mark.parametrize("fields,error,match", [
+        # _base_sites once dropped the negative points, and the limit check
+        # reported "not contained"
+        ({"divisor_base": (-3,) * 4}, ValueError, "multiplicities"),
+        ({"ambient_base": (2, 0)}, ValueError, "multiplicities"),
+        ({"divisor_base": (1.0,) * 4}, ValueError, "multiplicity must be"),
+        ({"prime": 91}, PrimeTooSmall, "not prime"),
+        ({"prime": 1000003.0}, ValueError, "prime must be"),
+        ({"seed": 1.5}, ValueError, "seed must be"),
+    ])
+    def test_scene_checks_its_fields(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            OracleScene(**{"divisor_base": (1,) * 4, "prime": P, **fields})
 
 
 def bench_limit_items(seed):

@@ -30,8 +30,8 @@ from util import (bench_pyramid_chains, bench_workloads, canonical,
                   howell_bucket_corpus, howell_corpus,
                   monomial_span, plain_closed_form, plain_flat_limit,
                   plain_from_rows, plain_rref_mod_p, plain_special_fiber,
-                  random_staircase, torus_corpus, torus_flat_limit,
-                  torus_scene)
+                  random_staircase, staircases_up_to, torus_corpus,
+                  torus_flat_limit, torus_scene)
 
 P = 10007
 
@@ -278,6 +278,61 @@ class TestResidualChain:
             ctx = RingContext(dim=dim, prime=P, t_trunc=2, x_cap=10)
             with pytest.raises(ValueError, match="dimension"):
                 build(E, 1, [2], ctx)
+
+    @pytest.mark.parametrize("v", [0, -1, 1.5, "1"])
+    @pytest.mark.parametrize("build", [
+        chain_context, residual_chain, restriction_chain,
+        closed_form_residual, closed_form_span,
+        lambda E, v, ns: translate_ideal(E, v, ctx2())])
+    def test_speed_must_be_an_integer_of_at_least_one(self, build, v):
+        # v = 0 once built a chain of x_1 - 1, v = 1.5 warned that level 3
+        # touches v*h = 3 before failing, v = -1 failed inside the row keys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="speed v must be"):
+                build(regular(2), v, [3])
+
+    @pytest.mark.parametrize("build", [residual_chain, restriction_chain])
+    def test_chain_needs_a_level(self, build):
+        with pytest.raises(InvalidSequence, match="at least one level"):
+            build(regular(2), 1, [])
+
+    def test_membership_and_equality_read_the_cap(self):
+        chain = residual_chain(regular(2), 1, [3])
+        c = chain.ctx
+        assert c.x_cap == 2
+        for a in ((3, 0), (2, 1), (0, 3)):
+            with pytest.raises(CapExceeded, match="outside the tracked cap"):
+                chain.contains(mono(c, a))
+        assert not chain.contains(mono(c, (0, 0)))
+        assert chain.contains(mono(c, (0, 2)))
+        roomy = residual_chain(regular(2), 1, [3], chain_context(
+            regular(2), 1, [3]).with_cap(4))
+        assert roomy.ctx.x_cap == 3 and roomy != chain
+        assert roomy.contains(mono(roomy.ctx, (3, 0)))
+        relabelled = MonomialSpace.from_columns(c.with_cap(3), chain.columns)
+        assert relabelled != chain
+
+    @staticmethod
+    def _old_headroom(E, k):
+        """The cap chain_context once set: k colons on top of the largest
+        minimal-generator degree of the complement and the largest h(w) +
+        |w|, and at least 1."""
+        gen_deg = max((sum(c) for c in E.complement_generators()), default=0)
+        fit = max((h + sum(w) for w, h in E.heights.items()), default=0)
+        return max(1, k + max(gen_deg, fit))
+
+    def test_headroom_agrees_with_generator_degrees(self):
+        pyramids = [make_staircase({(b, c): m - b - c for b in range(m)
+                                    for c in range(m - b)})
+                    for m in range(1, 7)]
+        shapes = staircases_up_to(12) + pyramids
+        assert len(shapes) == 272 + 6
+        for E in shapes:
+            for k in range(4):
+                ns = list(range(k, 0, -1))
+                assert chain_context(E, 1, ns).x_cap == \
+                    self._old_headroom(E, k), (E, k)
 
 
 class TestClosedForm:

@@ -32,6 +32,31 @@ def test_runtime_imports_only_stdlib():
     assert [hit for path in modules for hit in foreign_imports(path)] == []
 
 
+def unused_imports(path):
+    """file:line: name for every name an import binds that the module never
+    reads (a __future__ import binds none)."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports its names to export them
+    modules = sorted(p for p in PACKAGE.rglob("*.py")
+                     if p.name != "__init__.py")
+    assert modules
+    assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
 FPT_REFERENCE = {"kernel_over_fpt", "pnorm", "padd", "psub", "pscale", "pmul",
                  "pval", "pdiv_t"}
 
