@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
-from .staircase import _integers, _json_int, f_staircase, regular
+from .staircase import _integer, _integers, _json_int, f_staircase, regular
 
 MAX_SEARCH_MULTIPLICITY = 16
 
@@ -137,54 +137,49 @@ def search_multiplicities(m: int, root_bound: int | None = None):
     Exhaustive and deterministic; results sorted lexicographically.  The
     actual collision diagrams depend on m mod 4 and are not recoverable
     from text alone, so these are labeled candidates, never the answer.
+
+    One depth-first search over the constellation's proximities gives the
+    vertices values in order, each ascending, so results come out sorted.
+    - Room: room[i] is m_i minus the values placed on vertices proximate
+      to i, and a vertex takes at most the least room among the vertices
+      it is proximate to (the root at most root_bound).  A full vector
+      leaves no room negative exactly when it is unloaded.
+    - Reach: an unplaced vertex can take at most the least bound among
+      the vertices it is proximate to (a placed one's room, an unplaced
+      one's own bound).  Rooms only shrink, so a branch needing more
+      degree than the sum of v(v+1)/2 over these bounds holds no result.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > MAX_SEARCH_MULTIPLICITY:
         raise ResourceLimit(
             f"search supports m <= {MAX_SEARCH_MULTIPLICITY}")
-    target = 4 * m * (m + 1) // 2
-    bound = 2 * m if root_bound is None else root_bound
+    top = 2 * m if root_bound is None else _integer(root_bound, "root_bound")
+    prox = [tuple(s) for s in four_point_constellation().proximities]
+    vec, room, results = [0] * len(prox), [0] * len(prox), []
 
-    def tri(v):
-        return v * (v + 1) // 2
-
-    results = []
-    for m0 in range(bound + 1):
-        d0 = tri(m0)
-        if d0 > target:
-            break
-        # q0's children are q1..q5: their total is capped by m0
-        for m1 in range(m0 + 1):
-            d1 = d0 + tri(m1)
-            if d1 > target:
+    def place(i, need):
+        bound = room[:i]
+        for s in prox[i:]:
+            bound.append(min([bound[j] for j in s]) if s else top)
+        if need > sum([b * (b + 1) // 2 for b in bound[i:]]):
+            return
+        if i == len(prox):
+            results.append(tuple(vec))
+            return
+        for v in range(bound[i] + 1):
+            if v * (v + 1) // 2 > need:
                 break
-            for m2 in range(m0 - m1 + 1):
-                d2 = d1 + tri(m2)
-                if d2 > target:
-                    break
-                for m3 in range(m0 - m1 - m2 + 1):
-                    d3 = d2 + tri(m3)
-                    if d3 > target:
-                        break
-                    for m4 in range(min(m2, m0 - m1 - m2 - m3) + 1):
-                        d4 = d3 + tri(m4)
-                        if d4 > target:
-                            break
-                        for m5 in range(min(m3, m0 - m1 - m2 - m3 - m4) + 1):
-                            d5 = d4 + tri(m5)
-                            if d5 > target:
-                                break
-                            # q3's children are q5, q6, q7; q5 >= q6 >= q7
-                            for m6 in range(min(m5, m3 - m5) + 1):
-                                d6 = d5 + tri(m6)
-                                if d6 > target:
-                                    break
-                                for m7 in range(min(m6, m3 - m5 - m6) + 1):
-                                    if d6 + tri(m7) == target:
-                                        results.append(
-                                            (m0, m1, m2, m3, m4, m5, m6, m7))
-    return sorted(results)
+            vec[i] = room[i] = v
+            for j in prox[i]:
+                room[j] -= v
+            place(i + 1, need - v * (v + 1) // 2)
+            for j in prox[i]:
+                room[j] += v
+
+    place(0, 4 * m * (m + 1) // 2)
+    return results
 
 
 def root_multiplicities(m: int):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import DomainError
+from .staircase import _integer
 
 
 def ambient_sections(d: int) -> int:
@@ -47,6 +48,7 @@ def critical_bounds_report(k: int, m: int) -> dict:
     """Evaluate km+1 < d_c(Z) <= km+k-2 for Z = k^2 fat points of
     multiplicity m.  Returns a report; the strict lower bound is a known
     point of ambiguity and is reported, never asserted."""
+    k, m = _integer(k, "k"), _integer(m, "m")
     if k < 4:
         raise DomainError("critical-degree bounds are stated for k >= 4")
     if m < 1:
@@ -72,6 +74,7 @@ def bookkeeping_identity(k: int, m: int, s: int) -> bool:
 
         (d-m+1)(d-m+2)/2 - H_v(Z' u L, d-m)  ==  (d+1)(d+2)/2 - H_v(Z, d)
     """
+    k, m, s = _integer(k, "k"), _integer(m, "m"), _integer(s, "s")
     if k < 2:
         raise DomainError("identity needs k >= 2")
     if m < 0:

@@ -204,6 +204,7 @@ def build_nagata_plan(k: int, m: int, s: int):
     N = m+1 is the smallest speed base making every floor exact
     (n_i/(N) and n_i/(N+1) land at m-i+1 and m-i for all levels).
     """
+    k, m, s = _integer(k, "k"), _integer(m, "m"), _integer(s, "s")
     if k < 4:
         raise DomainError("plans are built for k >= 4 (smaller k is the base case)")
     if m < 1:
@@ -395,6 +396,7 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
     """
     if mode not in ("degree-count", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
+    trials = _integer(trials, "trials")
     verdicts = []
     if mode == "degree-count":
         if len(model.line_base_degrees) < plan.r:
@@ -653,6 +655,7 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
     replayed by the interpolation oracle whenever its conditions matrix is
     within the desk-scale budget; a refusal is recorded with its reason.
     """
+    k, m = _integer(k, "k"), _integer(m, "m")
     if k < 2:
         raise DomainError("certificate needs k >= 2")
     if m < 1:

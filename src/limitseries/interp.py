@@ -18,17 +18,20 @@ from math import comb
 from .errors import OracleResourceLimit, PrimeTooSmall
 from .hilbert import ambient_sections, fat_point_degree, virtual_hilbert
 from .linalg import DEFAULT_PRIME, echelon_mod_p, require_prime
-from .staircase import Staircase, _integers, regular
+from .staircase import Staircase, _integer, _integers, regular
 
 # the one budget for conditions-matrix work, in matrix entries.  Cost
-# follows the entry count (2-core VM, p = 1000003, limit_inclusion_check):
-# Nagata plans 2,640 entries 0.04 s, 22,950 1.0 s, 49,896 5.1 s, 88,200
-# 12 s, 126,360 17 s, 243,040 52 s; a one-cell plan at degree 24 (325 x 325)
-# 0.1-21 s for 0-325 simple scene points; the (6,3) oracle table, 70,200
-# entries admitted (a trial short of full rank eliminates them all), one
-# packed elimination of its 216 x 231 degree-20 prefix per trial:
-# 0.10-0.12 s a trial at p = 2^61 - 1, 0.04-0.045 s at p = 1000003
-# (0.16 s and 0.06 s for the whole 216 x 325 matrix).
+# follows the entry count.  limit_inclusion_check on Nagata plans (k, m, s),
+# p = 1000003, three runs each on one 2-core shared VM: (5,3,1) 23,409
+# entries 0.2-0.3 s, (6,3,2) 53,361 0.6-0.9 s, (7,3,2) 90,000 1.1-1.3 s,
+# (6,4,1) 126,360 0.9-1.4 s, (7,4,2) 246,016 5.8-9.2 s; a one-cell plan at
+# degree 24 (325 x 325) 0.15 s with no scene points, 0.6-0.8 s with 325
+# simple ones.  The (6,3) oracle table, 70,200 entries admitted (a trial
+# short of full rank eliminates them all), one packed elimination of its
+# 216 x 231 degree-20 prefix per trial: 0.2 s a trial at p = 2^61 - 1,
+# 0.05-0.09 s at p = 1000003 (0.3 s and 0.11-0.12 s for the whole 216 x
+# 325 matrix).  The same VM has run these about twice as fast on other
+# days, so compare only timings taken together.
 DESK_MATRIX_BUDGET = 120_000
 
 
@@ -246,6 +249,7 @@ def hilbert_function_of(sites, d: int, trials: int = 3, seed: int = 0,
     probability <= degree-bound/p per trial).  A trial stops at the least
     degree whose conditions already have full rank: the rank cannot grow
     past the number of conditions, so it is then the degree-d rank."""
+    d, trials = _integer(d, "d"), _integer(trials, "trials")
     return max(len(pivots)
                for pivots in _rank_profiles(sites, d, trials, seed, p))
 
@@ -308,10 +312,11 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     least degree e with ambient_sections(e) >= deg Z whenever H(e) = deg Z
     there: no later column can then hold a pivot, so H(d) = deg Z for every
     d >= e, and only a trial short of that eliminates degree d_max."""
+    k, m = _integer(k, "k"), _integer(m, "m")
+    trials = _integer(trials, "trials")
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    if d_max is None:
-        d_max = k * m + k
+    d_max = k * m + k if d_max is None else _integer(d_max, "d_max")
     if d_max < 0:
         raise ValueError(f"d_max must be >= 0, got {d_max}")
     deg_z = k * k * fat_point_degree(m)

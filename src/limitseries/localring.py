@@ -87,6 +87,22 @@ class RingContext:
         return self.dim == other.dim and self.prime == other.prime
 
 
+def _monomial_key(key, dim):
+    """The key (a, b) of x^a t^b as (tuple of dim ints, int), checked: a
+    non-integer exponent, a wrong arity or a negative exponent raises
+    ValueError."""
+    a, b = key
+    try:
+        a, b = tuple(map(index, a)), index(b)
+    except TypeError:
+        raise ValueError(f"non-integer exponent in x^{a} t^{b}") from None
+    if len(a) != dim:
+        raise ValueError(f"exponent {a} has wrong arity for dim {dim}")
+    if min(a) < 0 or b < 0:
+        raise ValueError(f"negative exponent in x^{a} t^{b}")
+    return a, b
+
+
 class Element:
     """A finite sum of monomials x^a t^b with F_p coefficients."""
 
@@ -95,16 +111,8 @@ class Element:
     def __init__(self, ctx: RingContext, terms: dict):
         p = ctx.prime
         clean = {}
-        for (a, b), c in terms.items():
-            try:
-                a, b = tuple(map(index, a)), index(b)
-            except TypeError:
-                raise ValueError(
-                    f"non-integer exponent in x^{a} t^{b}") from None
-            if len(a) != ctx.dim:
-                raise ValueError(f"exponent {a} has wrong arity for dim {ctx.dim}")
-            if min(a) < 0 or b < 0:
-                raise ValueError(f"negative exponent in x^{a} t^{b}")
+        for key, c in terms.items():
+            a, b = _monomial_key(key, ctx.dim)
             if ctx.t_trunc is not None and b >= ctx.t_trunc:
                 continue
             c %= p
@@ -538,12 +546,9 @@ class MonomialSpace:
 
     @classmethod
     def from_elements(cls, ctx, elements):
-        rows = []
-        for el in elements:
-            if isinstance(el, Element):
-                rows.append(el.terms)
-            else:
-                rows.append(el)
+        rows = [el.terms if isinstance(el, Element) else
+                {_monomial_key(key, ctx.dim): c for key, c in el.items()}
+                for el in elements]
         return cls(ctx, rows=_sparse_rref(rows, ctx.prime))
 
     @classmethod
@@ -558,7 +563,8 @@ class MonomialSpace:
         return sum(m.dim_fp() for m in self.columns.values())
 
     def contains(self, el) -> bool:
-        terms = el.terms if isinstance(el, Element) else dict(el)
+        terms = el.terms if isinstance(el, Element) else {
+            _monomial_key(key, self.ctx.dim): c for key, c in el.items()}
         p = self.ctx.prime
         if self.rows is not None:
             # in the span iff adding it leaves the number of rows unchanged
@@ -777,6 +783,7 @@ def _chain_entry(E, v, ns, ctx, prime=DEFAULT_PRIME):
     strictly decreasing levels >= 1, and E's dimension and an x-cap of at
     least k + (largest cell degree) + 1 for k levels: a colon uses one, and
     a minimal generator c of the complement has c - e_i in E for some i.
+    Given levels, a finite t-truncation below n_1 raises InvalidTruncation.
     ctx None builds the least such context, at t^{n_1} (no levels: t^{v *
     largest height + 1})."""
     v = _speed(v)
@@ -793,6 +800,9 @@ def _chain_entry(E, v, ns, ctx, prime=DEFAULT_PRIME):
     _require_dim(E, ctx)
     if ctx.x_cap < need:
         raise CapExceeded(f"x_cap {ctx.x_cap} below needed headroom {need}")
+    if ns and ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
+        raise InvalidTruncation(
+            f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
     return v, ns, ctx
 
 
@@ -816,9 +826,6 @@ def _chain_columns(E, v, ns, ctx, final_colon):
     if not ns:
         raise InvalidSequence("a chain needs at least one level")
     k = len(ns)
-    if ctx.t_trunc is not None and ctx.t_trunc < ns[0]:
-        raise InvalidTruncation(
-            f"context t-truncation {ctx.t_trunc} below first level {ns[0]}")
     hits = boundary_columns(E, v, ns)
     if hits:
         warnings.warn(
@@ -955,9 +962,9 @@ def flat_limit(family, ctx: RingContext) -> MonomialSpace:
         raise ValueError("flat_limit needs exact coefficients (t_trunc=None)")
     p = ctx.prime
     terms = [el.terms if isinstance(el, Element) else dict(el) for el in family]
+    for key in {key for t in terms for key in t}:
+        _monomial_key(key, ctx.dim)
     tes = [te for t in terms for (_a, te), c in t.items() if c % p]
-    if min(tes, default=0) < 0:
-        raise ValueError("negative t-exponent in a flat_limit family")
     cols = sorted({(a, 0) for t in terms for (a, _te), c in t.items() if c % p},
                   key=_order_key, reverse=True)
     n = 1 + max(tes, default=0)

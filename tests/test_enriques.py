@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 from limitseries.enriques import (EnriquesDiagram, diagram_degree,
@@ -8,6 +11,35 @@ from limitseries.enriques import (EnriquesDiagram, diagram_degree,
 from limitseries.errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
 
 PAPER_EXAMPLE = (8, 2, 1, 3, 0, 1, 0, 0)
+
+# (count, sha256 of the repr of the result list) of the search at its
+# default root bound, as given by the eight hand-nested loops it replaced
+NESTED_LOOP_DIGESTS = {
+    1: (3, "aed4cceba7da4224bc95fab5cc862f52ab73b94ee3aa8a81ecd207f3cb2e0953"),
+    2: (8, "b0d9743f307a28ec772d60ce46cc9a73a381de39cf309d2ccd297e14d10a30dc"),
+    3: (19, "6a7c0bf77ec89607fa491e306d1dfca1e02f24a8ff48e3342821a3252b0c5728"),
+    4: (50, "90db80916b9020c4f76c21d6fa0d3b0136449c6fc887c3e3b04102e987c47483"),
+    5: (94, "f31c042da6424b2318b3f68b7a66f3229a7c81363dd5f42e18a31e64ae48ff29"),
+    6: (139, "dbfc034ae7995c093b156aee304a1f312d172cdd8d64447d4525f2b808fb2b4d"),
+    7: (261, "2e23a2d2648d3a6e6a7e1feb2f7d9697eebff50799a6cc46ebe1da156112d1c4"),
+    8: (418, "6c785f0c9d795a9e0fc853582481ec1a69fc64502204c44152f1240a3701f81c"),
+    9: (703, "fc75d939be83e71678572f2241658eab4429a35187e57517d2bbaf776788be90"),
+    10: (1160, "00bba3ae444c1772ecc50077ce630d781540174d42133523a2ad0ae9899e7e2e"),
+    11: (1585, "fa89f5b104364ce3d9c7cf90d297f80faee363dbeffbdd75f60516f629303f71"),
+    12: (2280, "0d3b03e65259752aa80445430444bfaa6f94474fcfc25193901c9411009468cb"),
+}
+# (m, root_bound, count) from those loops: every bound tested either keeps
+# all the default results or none
+NESTED_LOOP_ROOT_BOUNDS = [
+    (1, -1, 0), (1, 0, 0), (1, 1, 0), (1, 3, 3), (1, 10, 3), (1, 40, 3),
+    (3, -1, 0), (3, 0, 0), (3, 1, 0), (3, 3, 0), (3, 10, 19), (3, 40, 19),
+    (5, -1, 0), (5, 0, 0), (5, 1, 0), (5, 3, 0), (5, 10, 94), (5, 40, 94),
+    (7, -1, 0), (7, 0, 0), (7, 1, 0), (7, 3, 0), (7, 10, 0), (7, 40, 261),
+]
+
+
+def digest(results):
+    return len(results), hashlib.sha256(repr(results).encode()).hexdigest()
 
 
 class TestConstellation:
@@ -149,6 +181,26 @@ class TestSearch:
     def test_root_bound_respected(self):
         for vec in search_multiplicities(5):
             assert vec[0] <= 10
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equals_brute_force(self, m):
+        # every vector of entries <= 2m that is unloaded and has the degree
+        D = four_point_constellation()
+        children = [D.proximate_children(i) for i in range(D.size)]
+        want = [vec for vec in product(range(2 * m + 1), repeat=D.size)
+                if sum(v * (v + 1) // 2 for v in vec) == 2 * m * (m + 1)
+                and all(vec[i] >= sum(vec[j] for j in children[i])
+                        for i in range(D.size))]
+        assert search_multiplicities(m) == want
+
+    @pytest.mark.parametrize("m", sorted(NESTED_LOOP_DIGESTS))
+    def test_matches_nested_loops(self, m):
+        assert digest(search_multiplicities(m)) == NESTED_LOOP_DIGESTS[m]
+
+    @pytest.mark.parametrize("m,root_bound,count", NESTED_LOOP_ROOT_BOUNDS)
+    def test_root_bounds_match_nested_loops(self, m, root_bound, count):
+        got = digest(search_multiplicities(m, root_bound))
+        assert got == (NESTED_LOOP_DIGESTS[m] if count else digest([]))
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):

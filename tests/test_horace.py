@@ -11,7 +11,10 @@ from limitseries.horace import (LineSystemModel, OracleScene,
                                 build_nagata_plan, hypothesis_check,
                                 limit_inclusion_check, nagata_certificate,
                                 slice_degree_table, validate_plan)
-from limitseries.hilbert import ambient_sections, critical_degree
+from limitseries.enriques import search_multiplicities
+from limitseries.hilbert import (ambient_sections, bookkeeping_identity,
+                                 critical_bounds_report, critical_degree)
+from limitseries.interp import Site, hilbert_function_of, verify_nagata_theorem
 from limitseries.linalg import kernel_mod_p, rank_mod_p
 from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
                                    suppress_tuple)
@@ -31,6 +34,29 @@ def nagata_scene(k, m):
     """k fat points of multiplicity m on the divisor, (k-1)^2 elsewhere."""
     return OracleScene(divisor_base=(m,) * k, ambient_base=(m,) * (k - 1) ** 2,
                        prime=P, seed=1)
+
+
+@pytest.mark.parametrize("fn,args,kwargs,name", [
+    (bookkeeping_identity, (4.5, 1, 1), {}, "k"),
+    (bookkeeping_identity, (4, 1, 1.0), {}, "s"),
+    (critical_bounds_report, (4.5, 1), {}, "k"),
+    (verify_nagata_theorem, (2.0, 1), {}, "k"),
+    (verify_nagata_theorem, (2, 1), {"d_max": 2.5}, "d_max"),
+    (verify_nagata_theorem, (2, 1), {"trials": 1.5}, "trials"),
+    (build_nagata_plan, (4.5, 1, 1), {}, "k"),
+    (build_nagata_plan, (4, 1.5, 1), {}, "m"),
+    (nagata_certificate, (4.5, 1), {}, "k"),
+    (hypothesis_check, build_nagata_plan(4, 1, 1),
+     {"mode": "oracle", "scene": nagata_scene(4, 1), "trials": 1.5}, "trials"),
+    (hilbert_function_of, ([Site(regular(1))], 2.5), {}, "d"),
+    (search_multiplicities, (1.5,), {}, "m"),
+    (search_multiplicities, (2,), {"root_bound": 3.5}, "root_bound"),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_entry_points_refuse_non_integral_arguments(fn, args, kwargs, name):
+    # bookkeeping_identity(4.5, 1, 1) once returned False and the others
+    # raised a bare TypeError from inside range() or an index
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args, **kwargs)
 
 
 class TestValidatePlan:

@@ -268,6 +268,20 @@ class TestResidualChain:
             residual_chain(regular(3), 1, [4], roomy)
 
     @pytest.mark.parametrize("build", [residual_chain, restriction_chain,
+                                       closed_form_span, closed_form_residual])
+    def test_closed_form_refuses_the_truncation_the_chain_refuses(self, build):
+        # the closed form once returned a space at t^4 from a t^2 context
+        short = RingContext(dim=2, prime=P, t_trunc=2, x_cap=4)
+        with pytest.raises(InvalidTruncation,
+                           match="context t-truncation 2 below first level 4"):
+            build(regular(2), 1, [4], short)
+
+    def test_closed_form_without_levels_keeps_the_context_truncation(self):
+        short = RingContext(dim=2, prime=P, t_trunc=2, x_cap=4)
+        assert closed_form_span(regular(2), 1, [], short).ctx.t_trunc == 2
+        assert closed_form_residual(regular(2), 1, [], short).ctx.t_trunc == 2
+
+    @pytest.mark.parametrize("build", [residual_chain, restriction_chain,
                                        closed_form_span])
     def test_context_of_wrong_dimension_refused(self, build):
         # a 3-D fat point in a plane context, and a plane staircase in a
@@ -563,6 +577,49 @@ class TestFlatLimit:
                       for vec in kernel_mod_p(dense, ncols, p)])
             kernel = kernel_over_fpt(rows, ncols, p)
             assert annihilator == flat_limit(family(kernel), c)
+
+
+class TestRawDictKeys:
+    """Dict rows follow Element's key rule wherever they enter a space."""
+
+    BAD_KEYS = [(((1,), 0), "wrong arity"), (((1, 0, 0), 0), "wrong arity"),
+                (((1, -1), 0), "negative"), (((1, 0), -1), "negative"),
+                (((1.0, 0), 0), "non-integer"), (((1, 0), 0.5), "non-integer")]
+
+    @pytest.mark.parametrize("key,match", BAD_KEYS)
+    def test_flat_limit(self, key, match):
+        # a dim-1 key in a dim-2 family once gave a 1-dimensional limit
+        c = RingContext(dim=2, prime=P, x_cap=4)
+        with pytest.raises(ValueError, match=match):
+            flat_limit([{((0, 1), 0): 1}, {key: 1}], c)
+
+    @pytest.mark.parametrize("key,match", BAD_KEYS)
+    def test_from_elements(self, key, match):
+        c = RingContext(dim=2, prime=P, t_trunc=3, x_cap=4)
+        with pytest.raises(ValueError, match=match):
+            MonomialSpace.from_elements(c, [{((0, 1), 0): 1}, {key: 1}])
+
+    @pytest.mark.parametrize("key,match", BAD_KEYS)
+    def test_contains(self, key, match):
+        # graded membership once leaked a KeyError or a TypeError
+        graded = residual_chain(regular(2), 1, [3])
+        plain = MonomialSpace.from_elements(graded.ctx, [{((0, 1), 0): 1}])
+        for space in (graded, plain):
+            with pytest.raises(ValueError, match=match):
+                space.contains({key: 1})
+
+    def test_good_dict_rows_agree_with_elements(self):
+        c = RingContext(dim=2, prime=P, t_trunc=3, x_cap=4)
+        rows = [{((0, 1), 0): 1, ((1, 0), 2): 3}, {((2, 0), 1): 5}]
+        elements = [Element(c, row) for row in rows]
+        assert MonomialSpace.from_elements(c, rows) == \
+            MonomialSpace.from_elements(c, elements)
+        exact = c.with_t(None)
+        assert flat_limit(rows, exact) == \
+            flat_limit([Element(exact, row) for row in rows], exact)
+        chain = residual_chain(regular(2), 1, [3])
+        assert chain.contains({((0, 2), 0): 1}) == \
+            chain.contains(mono(chain.ctx, (0, 2)))
 
 
 class TestFlatLimitCanonical:
