@@ -13,9 +13,8 @@ import json
 import os
 import sys
 
-from .errors import (DomainError, HypothesisFailed, IdentityFailure,
-                     LimitSeriesError, MonotonicityViolation, PrimeTooSmall,
-                     ResourceLimit)
+from .errors import (HypothesisFailed, IdentityFailure, LimitSeriesError,
+                     MonotonicityViolation, PrimeTooSmall, ResourceLimit)
 from .horace import (LineSystemModel, OracleScene, SpecializationPlan,
                      apply_theorem, hypothesis_check, limit_inclusion_check,
                      nagata_certificate, validate_plan)
@@ -363,8 +362,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, DomainError, MonotonicityViolation,
-            PrimeTooSmall) as exc:
+    except (ValueError, OSError, MonotonicityViolation, PrimeTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except LimitSeriesError as exc:

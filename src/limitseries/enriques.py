@@ -31,7 +31,8 @@ class EnriquesDiagram:
     multiplicities: tuple | None = None
 
     def __post_init__(self):
-        prox = tuple(frozenset(s) for s in self.proximities)
+        prox = tuple(frozenset(_integers(s, "proximity", 0))
+                     for s in self.proximities)
         object.__setattr__(self, "proximities", prox)
         if not prox:
             raise ValueError("diagram needs at least the root vertex")
@@ -47,11 +48,9 @@ class EnriquesDiagram:
             if any(j >= i for j in s):
                 raise ValueError(f"vertex {i} references a later vertex")
         if self.multiplicities is not None:
-            mult = _integers(self.multiplicities, "multiplicity")
+            mult = _integers(self.multiplicities, "multiplicity", 0)
             if len(mult) != len(prox):
                 raise ValueError("one multiplicity per vertex required")
-            if any(v < 0 for v in mult):
-                raise ValueError("multiplicities must be >= 0")
             object.__setattr__(self, "multiplicities", mult)
 
     @property
@@ -75,13 +74,25 @@ class EnriquesDiagram:
 
     @classmethod
     def from_json(cls, data) -> "EnriquesDiagram":
+        """Read to_json's form: the vertex ids must be exactly 0..n-1, and
+        a missing field raises ValueError naming it.  A number with a zero
+        fraction reads as an integer, as draft-07 counts it."""
         if isinstance(data, str):
             data = json.loads(data)
-        vertices = sorted(data["vertices"], key=lambda v: v["id"])
-        prox = tuple(frozenset(v["proximate_to"]) for v in vertices)
+        try:
+            prox = {_json_int(v["id"], "vertex id"):
+                    [_json_int(j, "proximity") for j in v["proximate_to"]]
+                    for v in data["vertices"]}
+        except KeyError as exc:
+            raise ValueError(f"diagram is missing the {exc.args[0]!r} field") \
+                from None
+        if sorted(prox) != list(range(len(data["vertices"]))):
+            raise ValueError("vertex ids must be exactly 0..n-1, got "
+                             f"{[v['id'] for v in data['vertices']]}")
         mult = data.get("multiplicities")
-        return cls(prox, None if mult is None else tuple(
-            _json_int(v, "multiplicity") for v in mult))
+        return cls(tuple(prox[i] for i in range(len(prox))),
+                   None if mult is None
+                   else tuple(_json_int(v, "multiplicity") for v in mult))
 
 
 def four_point_constellation() -> EnriquesDiagram:
@@ -149,12 +160,10 @@ def search_multiplicities(m: int, root_bound: int | None = None):
       one's own bound).  Rooms only shrink, so a branch needing more
       degree than the sum of v(v+1)/2 over these bounds holds no result.
     """
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m", 1)
     if m > MAX_SEARCH_MULTIPLICITY:
         raise ResourceLimit(
-            f"search supports m <= {MAX_SEARCH_MULTIPLICITY}")
+            f"search supports m <= {MAX_SEARCH_MULTIPLICITY}, got m = {m}")
     top = 2 * m if root_bound is None else _integer(root_bound, "root_bound")
     prox = [tuple(s) for s in four_point_constellation().proximities]
     vec, room, results = [0] * len(prox), [0] * len(prox), []
@@ -189,7 +198,12 @@ def root_multiplicities(m: int):
 
 def period_offset_report(m: int) -> dict:
     """Report (never an assertion) on the period-4 pattern: do the root
-    multiplicities for m+4 contain the m-roots shifted by 7?"""
+    multiplicities for m+4 contain the m-roots shifted by 7?  An m above
+    MAX_SEARCH_MULTIPLICITY - 4 is refused before either search runs."""
+    m = _integer(m, "m", 1)
+    if m + 4 > MAX_SEARCH_MULTIPLICITY:
+        raise ResourceLimit(f"the report searches m + 4 = {m + 4}; search "
+                            f"supports m <= {MAX_SEARCH_MULTIPLICITY}")
     roots = root_multiplicities(m)
     roots_next = root_multiplicities(m + 4)
     shifted = [r + 7 for r in roots]
@@ -206,8 +220,7 @@ def three_point_reference(k: int) -> dict:
     """Descriptor of the three-point collision system used as the ambient
     reference: root multiple 6k on the first exceptional divisor and the
     shape pair (R_{2k}, F_{2k}).  Exposed as data only."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _integer(k, "k", 1)
     return {
         "root_multiple": 6 * k,
         "shapes": [regular(2 * k).to_json(), f_staircase(2 * k).to_json()],

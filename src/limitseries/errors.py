@@ -37,7 +37,7 @@ class PrimeTooSmall(LimitSeriesError):
     """The prime does not dominate the degrees in play."""
 
 
-class DomainError(LimitSeriesError):
+class DomainError(LimitSeriesError, ValueError):
     """Arguments outside the stated parameter range of an operation."""
 
 

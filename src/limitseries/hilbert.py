@@ -23,9 +23,7 @@ def fat_point_degree(m: int) -> int:
 
 def virtual_hilbert(deg_z: int, d: int) -> int:
     """H_v(Z, d) = min((d+1)(d+2)/2, deg Z)."""
-    if deg_z < 0:
-        raise DomainError("scheme degrees are nonnegative")
-    return min(ambient_sections(d), deg_z)
+    return min(ambient_sections(_integer(d, "d")), _integer(deg_z, "deg_z", 0))
 
 
 def critical_degree(deg_z: int) -> int:
@@ -35,8 +33,7 @@ def critical_degree(deg_z: int) -> int:
     capped at deg Z, so strict dominance of the binomial term is used; this
     matches the upper bound km+k-2 empirically on the tested range.
     """
-    if deg_z < 0:
-        raise DomainError("scheme degrees are nonnegative")
+    deg_z = _integer(deg_z, "deg_z", 0)
     # (d+1)(d+2)/2 > n  around  d ~ sqrt(2n); fix up from a safe start
     d = max(0, isqrt(2 * deg_z) - 2)
     while ambient_sections(d) <= deg_z:
@@ -48,11 +45,7 @@ def critical_bounds_report(k: int, m: int) -> dict:
     """Evaluate km+1 < d_c(Z) <= km+k-2 for Z = k^2 fat points of
     multiplicity m.  Returns a report; the strict lower bound is a known
     point of ambiguity and is reported, never asserted."""
-    k, m = _integer(k, "k"), _integer(m, "m")
-    if k < 4:
-        raise DomainError("critical-degree bounds are stated for k >= 4")
-    if m < 1:
-        raise DomainError("multiplicity must be >= 1")
+    k, m = _integer(k, "k", 4), _integer(m, "m", 1)
     deg_z = k * k * fat_point_degree(m)
     d_c = critical_degree(deg_z)
     return {
@@ -74,11 +67,7 @@ def bookkeeping_identity(k: int, m: int, s: int) -> bool:
 
         (d-m+1)(d-m+2)/2 - H_v(Z' u L, d-m)  ==  (d+1)(d+2)/2 - H_v(Z, d)
     """
-    k, m, s = _integer(k, "k"), _integer(m, "m"), _integer(s, "s")
-    if k < 2:
-        raise DomainError("identity needs k >= 2")
-    if m < 0:
-        raise DomainError("multiplicity must be >= 0")
+    k, m, s = _integer(k, "k", 2), _integer(m, "m", 0), _integer(s, "s")
     if not 0 <= s <= k - 2:
         raise DomainError(f"s must satisfy 0 <= s <= k-2, got s={s}, k={k}")
     d = k * m + s

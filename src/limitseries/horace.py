@@ -48,12 +48,10 @@ class SpecializationPlan:
         shapes = self.shapes if isinstance(self.shapes, StaircaseTuple) \
             else StaircaseTuple(self.shapes)
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "speeds", _integers(self.speeds, "speed"))
+        object.__setattr__(self, "speeds", _integers(self.speeds, "speed", 1))
         object.__setattr__(self, "levels", _integers(self.levels, "level"))
         if len(self.speeds) != len(shapes):
             raise ValueError("one speed per shape required")
-        if any(v < 1 for v in self.speeds):
-            raise ValueError("speeds must be positive")
 
     @property
     def r(self) -> int:
@@ -110,11 +108,9 @@ class LineSystemModel:
     line_base_degrees: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
+        object.__setattr__(self, "degree", _integer(self.degree, "degree", 0))
         object.__setattr__(self, "line_base_degrees",
-                           _integers(self.line_base_degrees, "base degree"))
-        if self.degree < 0 or any(b < 0 for b in self.line_base_degrees):
-            raise ValueError("degrees must be nonnegative")
+                           _integers(self.line_base_degrees, "base degree", 0))
 
     def to_json(self):
         return {"degree": self.degree,
@@ -136,12 +132,9 @@ class OracleScene:
 
     def __post_init__(self):
         for name in ("divisor_base", "ambient_base"):
-            base = _integers(getattr(self, name), "multiplicity")
-            if any(M < 1 for M in base):
-                raise ValueError(f"multiplicities must be >= 1, got {base}")
-            object.__setattr__(self, name, base)
-        object.__setattr__(self, "prime",
-                           require_prime(_integer(self.prime, "prime")))
+            object.__setattr__(self, name, _integers(getattr(self, name),
+                                                     "multiplicity", 1))
+        object.__setattr__(self, "prime", require_prime(self.prime))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
@@ -204,11 +197,7 @@ def build_nagata_plan(k: int, m: int, s: int):
     N = m+1 is the smallest speed base making every floor exact
     (n_i/(N) and n_i/(N+1) land at m-i+1 and m-i for all levels).
     """
-    k, m, s = _integer(k, "k"), _integer(m, "m"), _integer(s, "s")
-    if k < 4:
-        raise DomainError("plans are built for k >= 4 (smaller k is the base case)")
-    if m < 1:
-        raise DomainError("multiplicity must be >= 1")
+    k, m, s = _integer(k, "k", 4), _integer(m, "m", 1), _integer(s, "s")
     if not 0 <= s <= k - 2:
         raise DomainError(f"s must satisfy 0 <= s <= k-2, got {s}")
     N = m + 1
@@ -396,7 +385,7 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
     """
     if mode not in ("degree-count", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
-    trials = _integer(trials, "trials")
+    trials = _integer(trials, "trials", 1)
     verdicts = []
     if mode == "degree-count":
         if len(model.line_base_degrees) < plan.r:
@@ -414,8 +403,6 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         return verdicts
     if scene is None:
         raise ValueError("oracle mode needs a scene")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     _require_desk_scale(plan, model, scene)
     p = scene.prime
     rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
@@ -562,10 +549,10 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     substitute a corrupted residual claim (negative controls: one extra
     suppression must come with one extra divisor copy, otherwise the
     corrupted target only grows).  A residual_override needs one shape
-    per sliding shape of the plan, else LengthMismatch; a negative
-    r_override raises ValueError."""
-    if r_override is not None and r_override < 0:
-        raise ValueError(f"r_override must be >= 0, got {r_override}")
+    per sliding shape of the plan, else LengthMismatch; an r_override must
+    be an integer >= 0."""
+    if r_override is not None:
+        r_override = _integer(r_override, "r_override", 0)
     if residual_override is not None and \
             len(residual_override) != len(plan.shapes):
         raise LengthMismatch(
@@ -655,11 +642,7 @@ def nagata_certificate(k: int, m: int, seed: int = 0,
     replayed by the interpolation oracle whenever its conditions matrix is
     within the desk-scale budget; a refusal is recorded with its reason.
     """
-    k, m = _integer(k, "k"), _integer(m, "m")
-    if k < 2:
-        raise DomainError("certificate needs k >= 2")
-    if m < 1:
-        raise DomainError("multiplicity must be >= 1")
+    k, m = _integer(k, "k", 2), _integer(m, "m", 1)
     require_prime(prime)
     plans = []
     identities = {"bookkeeping": True, "slice_degrees": True,

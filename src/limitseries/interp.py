@@ -225,8 +225,6 @@ def _rank_profiles(sites, d: int, trials: int, seed: int, p: int):
     degree-d pivots (for a zero-dimensional scheme, H reaching deg Z in
     degree e stays there).  Otherwise the same placed sites are eliminated
     in degree d."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     nrows = sum(site.shape.degree for site in sites)
     e = next((e for e in range(d) if ambient_sections(e) >= nrows), d)
     rng = random.Random(seed)
@@ -249,7 +247,7 @@ def hilbert_function_of(sites, d: int, trials: int = 3, seed: int = 0,
     probability <= degree-bound/p per trial).  A trial stops at the least
     degree whose conditions already have full rank: the rank cannot grow
     past the number of conditions, so it is then the degree-d rank."""
-    d, trials = _integer(d, "d"), _integer(trials, "trials")
+    d, trials = _integer(d, "d"), _integer(trials, "trials", 1)
     return max(len(pivots)
                for pivots in _rank_profiles(sites, d, trials, seed, p))
 
@@ -312,13 +310,9 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     least degree e with ambient_sections(e) >= deg Z whenever H(e) = deg Z
     there: no later column can then hold a pivot, so H(d) = deg Z for every
     d >= e, and only a trial short of that eliminates degree d_max."""
-    k, m = _integer(k, "k"), _integer(m, "m")
-    trials = _integer(trials, "trials")
-    if k < 1 or m < 1:
-        raise ValueError("k and m must be >= 1")
-    d_max = k * m + k if d_max is None else _integer(d_max, "d_max")
-    if d_max < 0:
-        raise ValueError(f"d_max must be >= 0, got {d_max}")
+    k, m = _integer(k, "k", 1), _integer(m, "m", 1)
+    trials = _integer(trials, "trials", 1)
+    d_max = k * m + k if d_max is None else _integer(d_max, "d_max", 0)
     deg_z = k * k * fat_point_degree(m)
     require_desk_scale(deg_z, ambient_sections(d_max), force)
     report = NagataReport(k, m, d_max, trials, seed, prime, prime2)

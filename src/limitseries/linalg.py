@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import PrimeTooSmall
+from .staircase import _integer
 
 DEFAULT_PRIME = 2**61 - 1
 
@@ -63,7 +64,8 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    if not is_prime(p):
+    """p as an int, read by _integer; a non-prime raises PrimeTooSmall."""
+    if not is_prime(p := _integer(p, "prime")):
         raise PrimeTooSmall(f"{p} is not prime")
     return p
 

@@ -42,7 +42,7 @@ from operator import index
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
                      InvalidTruncation, PrimeTooSmall)
-from .linalg import DEFAULT_PRIME, is_prime, rref_mod_p
+from .linalg import DEFAULT_PRIME, require_prime, rref_mod_p
 from .staircase import Staircase, _integer, _integers
 
 # ---------------------------------------------------------------------------
@@ -65,14 +65,12 @@ class RingContext:
     x_cap: int = 12
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.x_cap < 0:
-            raise ValueError("x_cap must be >= 0")
-        if self.t_trunc is not None and self.t_trunc < 1:
-            raise ValueError("t_trunc must be >= 1 or None")
-        if not is_prime(self.prime):
-            raise PrimeTooSmall(f"{self.prime} is not prime")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
+        object.__setattr__(self, "x_cap", _integer(self.x_cap, "x_cap", 0))
+        if self.t_trunc is not None:
+            object.__setattr__(self, "t_trunc",
+                               _integer(self.t_trunc, "t_trunc", 1))
+        object.__setattr__(self, "prime", require_prime(self.prime))
         if self.prime <= self.x_cap:
             raise PrimeTooSmall(
                 f"prime {self.prime} must exceed the x-degree cap {self.x_cap}")
@@ -736,14 +734,6 @@ def _require_dim(E, ctx):
         raise ValueError("staircase dimension does not match the context")
 
 
-def _speed(v):
-    """The speed of x_1 -> x_1 - t^v, an integer >= 1."""
-    v = _integer(v, "speed v")
-    if v < 1:
-        raise ValueError(f"speed v must be >= 1, got {v}")
-    return v
-
-
 def _translated_power(h, v, n, shift=0):
     """t^shift * (x_1 - t^v)^h below t^n, as {(x_1 exponent, t exponent): c}
     with integer coefficients (every consumer reduces them mod p)."""
@@ -757,7 +747,7 @@ def _translated_power(h, v, n, shift=0):
 
 def translate_ideal(E: Staircase, v: int, ctx: RingContext) -> FamilyIdeal:
     """J(E, v): the ideal of the staircase translated by x_1 -> x_1 - t^v."""
-    v = _speed(v)
+    v = _integer(v, "speed v", 1)
     _require_dim(E, ctx)
     gens = []
     for c in E.complement_generators():
@@ -786,7 +776,7 @@ def _chain_entry(E, v, ns, ctx, prime=DEFAULT_PRIME):
     Given levels, a finite t-truncation below n_1 raises InvalidTruncation.
     ctx None builds the least such context, at t^{n_1} (no levels: t^{v *
     largest height + 1})."""
-    v = _speed(v)
+    v = _integer(v, "speed v", 1)
     ns = list(_integers(ns or (), "level"))
     if any(n < 1 for n in ns):
         raise InvalidSequence(f"levels must be >= 1, got {ns}")

@@ -13,21 +13,25 @@ import json
 from itertools import product
 from operator import index
 
-from .errors import LengthMismatch, MonotonicityViolation
+from .errors import DomainError, LengthMismatch, MonotonicityViolation
 
 
-def _integer(value, what):
+def _integer(value, what, least=None):
     """value as an int through operator.index; a float or any other
-    non-integral value raises ValueError naming what."""
+    non-integral value raises ValueError naming what, and a value below
+    least (when given) raises DomainError, itself a ValueError."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
-def _integers(values, what):
-    """The tuple of _integer(v, what) over values."""
-    return tuple(_integer(v, what) for v in values)
+def _integers(values, what, least=None):
+    """The tuple of _integer(v, what, least) over values."""
+    return tuple(_integer(v, what, least) for v in values)
 
 
 def _json_int(value, what):
@@ -44,9 +48,7 @@ class Staircase:
     __slots__ = ("dim", "heights", "_hash")
 
     def __init__(self, dim: int, heights: dict):
-        dim = _integer(dim, "dim")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = _integer(dim, "dim", 1)
         clean = {}
         for key, h in heights.items():
             key = _integers(key, "height key")
@@ -54,9 +56,7 @@ class Staircase:
                 raise ValueError(f"height key {key} has wrong arity for dim {dim}")
             if any(k < 0 for k in key):
                 raise ValueError(f"negative exponent in height key {key}")
-            h = _integer(h, "height")
-            if h < 0:
-                raise ValueError(f"negative height {h} at {key}")
+            h = _integer(h, "height", 0)
             if h > 0:
                 clean[key] = h
         _validate_monotone(clean)
@@ -149,10 +149,6 @@ class Staircase:
     def complement_generators(self):
         """Minimal exponents of the complement (minimal generators of I^E)."""
         d = self.dim
-        if not self.heights:
-            return [(0,) * d]
-        if d == 1:
-            return [(self.heights[()],)]
         extents = [0] * (d - 1)
         for key in self.heights:
             for i, k in enumerate(key):
@@ -302,15 +298,13 @@ def make_staircase(heights, dim: int | None = None) -> Staircase:
 
 def regular(m: int) -> Staircase:
     """R_m: the plane staircase of cells with x + y < m, degree m(m+1)/2."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _integer(m, "m", 0)
     return Staircase(2, {(y,): m - y for y in range(m)})
 
 
 def f_staircase(m: int) -> Staircase:
     """The doubled staircase F_m with h(y) = h_{R_m}(floor(y/2))."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _integer(m, "m", 0)
     return Staircase(2, {(y,): m - y // 2 for y in range(2 * m) if m - y // 2 > 0})
 
 

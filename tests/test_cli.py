@@ -6,6 +6,7 @@ import pytest
 
 from limitseries import cli, horace
 from limitseries.cli import main
+from limitseries.errors import DivisionWitnessFailure
 from limitseries.horace import build_nagata_plan
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "limitseries" / "schemas"
@@ -326,6 +327,41 @@ class TestLimitCommand:
         code, out, _ = run(capsys, "limit", str(f))
         assert code == 1
         assert "GapViolation" in out
+
+    def test_verify_limit_without_scene_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps({k: v for k, v in PLAN_OK.items()
+                                 if k != "scene"}))
+        code, out, err = run(capsys, "limit", str(f), "--verify-limit")
+        assert code == 2 and out == ""
+        assert err == "error: --verify-limit needs a scene in the plan file\n"
+
+    def test_failed_containment_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the payload still carries the limit check's details
+        details = {"dim_moving": 3, "dim_limit": 3, "dim_target": 2, "r": 2,
+                   "residual": [], "contained": False}
+        monkeypatch.setattr(cli, "limit_inclusion_check",
+                            lambda *args, **kwargs: (False, details))
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(PLAN_OK))
+        code, out, err = run(capsys, "limit", str(f), "--verify-limit",
+                             "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["limit_inclusion"] == details
+        code, out, err = run(capsys, "limit", str(f), "--verify-limit")
+        assert code == 1 and err == ""
+        assert "limit inclusion: False (dim limit 3, target 2)" in out
+
+    def test_other_library_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DivisionWitnessFailure("t^0 coefficient 5 did not vanish")
+
+        monkeypatch.setattr(cli, "limit_inclusion_check", fail)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(PLAN_OK))
+        code, out, err = run(capsys, "limit", str(f), "--verify-limit")
+        assert code == 1 and out == ""
+        assert err == "check failed: t^0 coefficient 5 did not vanish\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "limit", "/nonexistent/plan.json")

@@ -3,12 +3,14 @@ from itertools import product
 
 import pytest
 
+from limitseries import enriques
 from limitseries.enriques import (EnriquesDiagram, diagram_degree,
                                   four_point_constellation, is_unloaded,
                                   period_offset_report, root_multiplicities,
                                   search_multiplicities,
                                   three_point_reference)
-from limitseries.errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
+from limitseries.errors import (DomainError, MultiplicitiesUnset,
+                                NotUnloaded, ResourceLimit)
 
 PAPER_EXAMPLE = (8, 2, 1, 3, 0, 1, 0, 0)
 
@@ -80,6 +82,40 @@ class TestConstellation:
         assert EnriquesDiagram.from_json(data).multiplicities == (2, 1)
         data["multiplicities"] = [2.5, 1]
         with pytest.raises(ValueError, match="multiplicity must be an int"):
+            EnriquesDiagram.from_json(data)
+
+    @pytest.mark.parametrize("prox,error,match", [
+        # is_unloaded never looked at a vertex -1, nor equated 0.0 with 0
+        (((), (-1,)), DomainError, "^proximity must be >= 0, got -1"),
+        (((), (0.0,)), ValueError, "^proximity must be an integer"),
+        (((), (0,), (0.5, 1)), ValueError, "^proximity must be an integer"),
+        (((), (1,)), ValueError, "references a later vertex"),
+    ])
+    def test_proximities_are_earlier_vertex_ids(self, prox, error, match):
+        with pytest.raises(error, match=match):
+            EnriquesDiagram(prox)
+
+    def test_json_reads_integral_proximities(self):
+        data = {"vertices": [{"id": 1, "proximate_to": [0.0]},
+                             {"id": 0, "proximate_to": []}]}
+        D = EnriquesDiagram.from_json(data)
+        assert D == EnriquesDiagram(((), (0,)))
+        assert D.to_json()["vertices"][1] == {"id": 1, "proximate_to": [0]}
+
+    @pytest.mark.parametrize("vertices,match", [
+        # duplicate ids were renumbered, a gap closed up, and a missing
+        # field raised a bare KeyError
+        ([{"id": 0, "proximate_to": []}, {"id": 0, "proximate_to": [0]}],
+         r"ids must be exactly 0\.\.n-1, got \[0, 0\]"),
+        ([{"id": 0, "proximate_to": []}, {"id": 2, "proximate_to": [0]}],
+         r"ids must be exactly 0\.\.n-1, got \[0, 2\]"),
+        ([{"id": 0, "proximate_to": []}, {"id": 1}], "'proximate_to'"),
+        ([{"proximate_to": []}], "'id'"),
+        (None, "'vertices'"),
+    ])
+    def test_json_refuses_malformed_vertices(self, vertices, match):
+        data = {} if vertices is None else {"vertices": vertices}
+        with pytest.raises(ValueError, match=match):
             EnriquesDiagram.from_json(data)
 
 
@@ -203,12 +239,24 @@ class TestSearch:
         assert got == (NESTED_LOOP_DIGESTS[m] if count else digest([]))
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="got m = 17"):
             search_multiplicities(17)
 
     def test_period_report_is_report(self):
         rep = period_offset_report(1)
         assert set(rep) >= {"roots", "roots_m_plus_4", "shift_contained"}
+
+    def test_period_report_refuses_before_searching(self, monkeypatch):
+        # m = 13 once ran the m = 13 search and then failed on m + 4 = 17
+        # with a message that named neither
+        calls = []
+        monkeypatch.setattr(enriques, "search_multiplicities",
+                            lambda m, root_bound=None: calls.append(m) or [])
+        with pytest.raises(ResourceLimit, match="m \\+ 4 = 17"):
+            period_offset_report(13)
+        assert calls == []
+        period_offset_report(12)
+        assert calls == [12, 16]
 
 
 def test_three_point_reference_payload():

@@ -11,13 +11,16 @@ from limitseries.horace import (LineSystemModel, OracleScene,
                                 build_nagata_plan, hypothesis_check,
                                 limit_inclusion_check, nagata_certificate,
                                 slice_degree_table, validate_plan)
-from limitseries.enriques import search_multiplicities
+from limitseries.enriques import (EnriquesDiagram, period_offset_report,
+                                  search_multiplicities, three_point_reference)
 from limitseries.hilbert import (ambient_sections, bookkeeping_identity,
-                                 critical_bounds_report, critical_degree)
+                                 critical_bounds_report, critical_degree,
+                                 virtual_hilbert)
 from limitseries.interp import Site, hilbert_function_of, verify_nagata_theorem
 from limitseries.linalg import kernel_mod_p, rank_mod_p
-from limitseries.staircase import (StaircaseTuple, make_staircase, regular,
-                                   suppress_tuple)
+from limitseries.localring import RingContext, chain_context, translate_ideal
+from limitseries.staircase import (Staircase, StaircaseTuple, f_staircase,
+                                   make_staircase, regular, suppress_tuple)
 
 from util import (bench_workloads, plain_hypothesis_dims,
                   plain_limit_inclusion_check, plain_limit_target,
@@ -51,11 +54,79 @@ def nagata_scene(k, m):
     (hilbert_function_of, ([Site(regular(1))], 2.5), {}, "d"),
     (search_multiplicities, (1.5,), {}, "m"),
     (search_multiplicities, (2,), {"root_bound": 3.5}, "root_bound"),
+    (period_offset_report, (1.5,), {}, "m"),
+    (three_point_reference, (1.5,), {}, "k"),
+    (regular, (2.5,), {}, "m"),
+    (f_staircase, (2.5,), {}, "m"),
+    (virtual_hilbert, (3.5, 2), {}, "deg_z"),
+    (virtual_hilbert, (3, 2.5), {}, "d"),
+    (critical_degree, (3.5,), {}, "deg_z"),
+    (limit_inclusion_check, (*build_nagata_plan(4, 1, 1), nagata_scene(4, 1)),
+     {"r_override": 1.5}, "r_override"),
+    (verify_nagata_theorem, (2, 1), {"prime": 1000003.0}, "prime"),
+    (nagata_certificate, (4, 1), {"prime": 1000003.0}, "prime"),
+    (RingContext, (2.0,), {}, "dim"),
+    (RingContext, (2,), {"prime": 1000003.0}, "prime"),
+    (RingContext, (2,), {"x_cap": 4.0}, "x_cap"),
+    (RingContext, (2,), {"t_trunc": 3.5}, "t_trunc"),
+    (chain_context, (regular(1), 1.5, [2]), {}, "speed v"),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_entry_points_refuse_non_integral_arguments(fn, args, kwargs, name):
-    # bookkeeping_identity(4.5, 1, 1) once returned False and the others
-    # raised a bare TypeError from inside range() or an index
+    # bookkeeping_identity(4.5, 1, 1) once returned False, virtual_hilbert(
+    # 3.5, 2) returned 3.5, regular(2.5) and the others raised a bare
+    # TypeError from inside range() or an index, and r_override=1.5 ran the
+    # whole flat limit first
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fn,args,kwargs,name,least", [
+    (Staircase, (0, {}), {}, "dim", 1),
+    (Staircase, (2, {(0,): -1}), {}, "height", 0),
+    (regular, (-1,), {}, "m", 0),
+    (f_staircase, (-1,), {}, "m", 0),
+    (virtual_hilbert, (-1, 2), {}, "deg_z", 0),
+    (critical_degree, (-1,), {}, "deg_z", 0),
+    (critical_bounds_report, (3, 1), {}, "k", 4),
+    (critical_bounds_report, (4, 0), {}, "m", 1),
+    (bookkeeping_identity, (1, 1, 0), {}, "k", 2),
+    (bookkeeping_identity, (4, -1, 1), {}, "m", 0),
+    (SpecializationPlan, ([regular(1)], (0,), ()), {}, "speed", 1),
+    (LineSystemModel, (-1, ()), {}, "degree", 0),
+    (LineSystemModel, (4, (2, -1)), {}, "base degree", 0),
+    (OracleScene, ((1, 0),), {}, "multiplicity", 1),
+    (OracleScene, (), {"ambient_base": (0,)}, "multiplicity", 1),
+    (build_nagata_plan, (3, 1, 1), {}, "k", 4),
+    (build_nagata_plan, (4, 0, 1), {}, "m", 1),
+    (hypothesis_check, build_nagata_plan(4, 1, 1), {"trials": 0},
+     "trials", 1),
+    (limit_inclusion_check, (*build_nagata_plan(4, 1, 1), nagata_scene(4, 1)),
+     {"r_override": -1}, "r_override", 0),
+    (nagata_certificate, (1, 1), {}, "k", 2),
+    (nagata_certificate, (4, 0), {}, "m", 1),
+    (hilbert_function_of, ([Site(regular(1))], 2), {"trials": 0},
+     "trials", 1),
+    (verify_nagata_theorem, (0, 1), {}, "k", 1),
+    (verify_nagata_theorem, (2, 0), {}, "m", 1),
+    (verify_nagata_theorem, (2, 1), {"trials": 0}, "trials", 1),
+    (verify_nagata_theorem, (2, 1), {"d_max": -1}, "d_max", 0),
+    (EnriquesDiagram, (((), (0,)), (1, -1)), {}, "multiplicity", 0),
+    (search_multiplicities, (0,), {}, "m", 1),
+    (period_offset_report, (0,), {}, "m", 1),
+    (three_point_reference, (0,), {}, "k", 1),
+    (RingContext, (0,), {}, "dim", 1),
+    (RingContext, (2,), {"x_cap": -1}, "x_cap", 0),
+    (RingContext, (2,), {"t_trunc": 0}, "t_trunc", 1),
+    (translate_ideal, (regular(1), 0, RingContext(2)), {}, "speed v", 1),
+    (chain_context, (regular(1), 0, [2]), {}, "speed v", 1),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_entry_points_refuse_counts_below_their_bound(fn, args, kwargs, name,
+                                                      least):
+    # these were about 25 hand-written checks with three exception types
+    with pytest.raises(DomainError,
+                       match=f"^{name} must be >= {least}, got {least - 1}$"):
+        fn(*args, **kwargs)
+    with pytest.raises(ValueError):
         fn(*args, **kwargs)
 
 
@@ -213,8 +284,8 @@ class TestHypothesisCheck:
     @pytest.mark.parametrize("fields,error,match", [
         # _base_sites once dropped the negative points, and the limit check
         # reported "not contained"
-        ({"divisor_base": (-3,) * 4}, ValueError, "multiplicities"),
-        ({"ambient_base": (2, 0)}, ValueError, "multiplicities"),
+        ({"divisor_base": (-3,) * 4}, ValueError, "multiplicity must be >= 1"),
+        ({"ambient_base": (2, 0)}, ValueError, "multiplicity must be >= 1"),
         ({"divisor_base": (1.0,) * 4}, ValueError, "multiplicity must be"),
         ({"prime": 91}, PrimeTooSmall, "not prime"),
         ({"prime": 1000003.0}, ValueError, "prime must be"),

@@ -1,7 +1,9 @@
 import json
+import operator
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitseries.errors import LengthMismatch, MonotonicityViolation
@@ -284,12 +286,24 @@ class TestComplementGenerators:
         assert make_staircase([2, 2, 2]).complement_generators() == \
             [(0, 3), (2, 0)]
 
-    @given(partitions)
-    def test_generators_cut_out_the_staircase(self, heights):
-        E = make_staircase(heights)
+    # the empty and the 1-D staircases need no branch of their own
+    @given(partitions.map(make_staircase))
+    @example(Staircase(1, {}))
+    @example(Staircase(2, {}))
+    @example(Staircase(3, {}))
+    @example(Staircase(4, {}))
+    @example(Staircase(1, {(): 4}))
+    @example(make_staircase({(b, c): 2 - b - c for b in range(2)
+                             for c in range(2 - b)}))
+    @example(make_staircase({(b, c): 6 - b - c for b in range(6)
+                             for c in range(6 - b)}))
+    def test_generators_cut_out_the_staircase(self, E):
+        # sorted, none divides another, and a cell of the box [0, 12)^d
+        # lies in E exactly when none of them divides it
         gens = E.complement_generators()
-        span = 12
-        for x in range(span):
-            for y in range(span):
-                in_complement = any(x >= g[0] and y >= g[1] for g in gens)
-                assert in_complement != E.contains((x, y))
+        assert gens == sorted(gens)
+        for g, h in permutations(gens, 2):
+            assert not all(map(operator.ge, h, g))
+        for cell in product(range(12), repeat=E.dim):
+            in_complement = any(all(map(operator.ge, cell, g)) for g in gens)
+            assert in_complement != E.contains(cell)
