@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import (HypothesisFailed, IdentityFailure, LimitSeriesError,
-                     MonotonicityViolation, PrimeTooSmall, ResourceLimit)
+                     ResourceLimit)
 from .horace import (LineSystemModel, OracleScene, SpecializationPlan,
                      apply_theorem, hypothesis_check, limit_inclusion_check,
                      nagata_certificate, validate_plan)
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, MonotonicityViolation, PrimeTooSmall) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except LimitSeriesError as exc:

@@ -80,19 +80,34 @@ class EnriquesDiagram:
         if isinstance(data, str):
             data = json.loads(data)
         try:
-            prox = {_json_int(v["id"], "vertex id"):
-                    [_json_int(j, "proximity") for j in v["proximate_to"]]
-                    for v in data["vertices"]}
+            vertices = _json_as(_json_as(data, dict, "diagram")["vertices"],
+                                list, "vertices")
+            prox = {}
+            for v in vertices:
+                v = _json_as(v, dict, "vertex")
+                prox[_json_int(v["id"], "vertex id")] = [
+                    _json_int(j, "proximity")
+                    for j in _json_as(v["proximate_to"], list, "proximate_to")]
         except KeyError as exc:
             raise ValueError(f"diagram is missing the {exc.args[0]!r} field") \
                 from None
-        if sorted(prox) != list(range(len(data["vertices"]))):
+        if sorted(prox) != list(range(len(vertices))):
             raise ValueError("vertex ids must be exactly 0..n-1, got "
-                             f"{[v['id'] for v in data['vertices']]}")
+                             f"{[v['id'] for v in vertices]}")
         mult = data.get("multiplicities")
         return cls(tuple(prox[i] for i in range(len(prox))),
                    None if mult is None
-                   else tuple(_json_int(v, "multiplicity") for v in mult))
+                   else tuple(_json_int(v, "multiplicity")
+                              for v in _json_as(mult, list, "multiplicities")))
+
+
+def _json_as(value, kind, what):
+    """value when it is a JSON object (kind dict) or array (kind list, a
+    tuple too), else ValueError naming what."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        article = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {article}, got {value!r}")
+    return value
 
 
 def four_point_constellation() -> EnriquesDiagram:

@@ -5,7 +5,7 @@ class LimitSeriesError(Exception):
     """Base class for all library errors."""
 
 
-class MonotonicityViolation(LimitSeriesError):
+class MonotonicityViolation(LimitSeriesError, ValueError):
     """Height data does not describe a staircase (heights increase somewhere)."""
 
 
@@ -33,7 +33,7 @@ class DivisionWitnessFailure(LimitSeriesError):
     """A low-order coefficient expected to vanish during exact division did not."""
 
 
-class PrimeTooSmall(LimitSeriesError):
+class PrimeTooSmall(LimitSeriesError, ValueError):
     """The prime does not dominate the degrees in play."""
 
 

@@ -59,6 +59,9 @@ class SpecializationPlan:
 
     def t_vector(self, i: int):
         """t_i = (floor(n_i / v_1), ..., floor(n_i / v_s)), i is 1-based."""
+        i = _integer(i, "level index", 1)
+        if i > self.r:
+            raise DomainError(f"level index must be <= {self.r}, got {i}")
         n = self.levels[i - 1]
         return tuple(n // v for v in self.speeds)
 
@@ -237,12 +240,6 @@ def slice_degree_table(plan: SpecializationPlan, k: int, m: int, s: int):
 # ---------------------------------------------------------------------------
 
 
-def _slice_as_plane(T: Staircase) -> Staircase:
-    """Embed a one-dimensional slice as the plane staircase (x, y^size)."""
-    size = T.degree
-    return Staircase(2, {(b,): 1 for b in range(size)})
-
-
 @dataclass
 class _Placed:
     sliding_ys: list
@@ -265,25 +262,30 @@ def _require_desk_scale(plan, model, scene):
     require_desk_scale(max(cells + plan.shapes.degree, ncols), ncols)
 
 
-def _materialize_scene(plan, scene, rng, p):
+def _placements(plan, scene, seed, purpose):
+    """The endless stream of scene placements a check draws: one sliding y
+    per shape, then one y per divisor point, then (x, y) per ambient point,
+    all distinct nonzero coordinates mod scene.prime.  Each check seeds its
+    own stream with random.Random(f"{seed}:{scene.seed}:{purpose}"), seed
+    the check's and purpose one of "hypothesis", "dim-bound" and "limit",
+    so that two checks of one scene draw independent placements."""
+    p = scene.prime
     need = (len(plan.shapes) + len(scene.divisor_base)
             + 2 * len(scene.ambient_base))
     if need >= p:
         raise PrimeTooSmall(f"prime {p} has fewer than {need} distinct "
                             f"nonzero coordinates for the scene")
-    used = set()
-
-    def draw():
-        while True:
-            v = rng.randrange(1, p)
-            if v not in used:
-                used.add(v)
-                return v
-
-    sliding = [draw() for _ in plan.shapes]
-    divisor = [(M, draw()) for M in scene.divisor_base]
-    ambient = [(M, (draw(), draw())) for M in scene.ambient_base]
-    return _Placed(sliding, divisor, ambient)
+    rng = random.Random(f"{seed}:{scene.seed}:{purpose}")
+    while True:
+        # a dict keeps the first draw of each value, in draw order
+        drawn = {}
+        while len(drawn) < need:
+            drawn.setdefault(rng.randrange(1, p))
+        coords = iter(drawn)
+        yield _Placed([next(coords) for _ in plan.shapes],
+                      [(M, next(coords)) for M in scene.divisor_base],
+                      [(M, (next(coords), next(coords)))
+                       for M in scene.ambient_base])
 
 
 def _base_sites(placed, r):
@@ -296,7 +298,7 @@ def _base_sites(placed, r):
     return [Site(shape[M], pt) for M, pt in points]
 
 
-def _residual_system_sites(plan, placed, r, residual):
+def _residual_system_sites(placed, r, residual):
     """Sites cutting out L(-rD - residual) on the quotient by x^r."""
     sites = _base_sites(placed, r)
     for E, y in zip(residual, placed.sliding_ys):
@@ -313,8 +315,6 @@ def _x_block_columns(d):
 
 
 def _system_dim(d, sites, p):
-    if d < 0:
-        return 0
     rows = conditions_matrix(sites, d, p)
     return ambient_sections(d) - rank_mod_p(rows, p)
 
@@ -328,25 +328,19 @@ def _level_dims(plan, placed, d, p):
     """(dim_with_z, dim_next) of every level, read off one elimination of
     the degree-d base conditions in x-block column order (the argument is
     in hypothesis_check)."""
-    if not plan.r:
-        return []
     echelon, pivots = echelon_mod_p(
         conditions_matrix(_base_sites(placed, 0), d, p, _x_block_columns(d)),
         p)
     dims = []
     for i in range(1, plan.r + 1):
         e = d - i + 1
-        if e < 0:
-            dims.append((0, 0))
-            continue
         # block x^(i-1) holds places lo..hi-1, blocks x^i and up those below
         lo, hi = ambient_sections(e - 1), ambient_sections(e)
         above, within = bisect_left(pivots, lo), bisect_left(pivots, hi)
-        z_sites = []
-        for E, t, y in zip(plan.shapes, plan.t_vector(i), placed.sliding_ys):
-            Z = _slice_as_plane(E.slice(t))
-            if not Z.is_empty:
-                z_sites.append(Site(Z, (0, y)))
+        # Z_i is the line scheme (x, y^n) at (0, y), n the slice size
+        z_sites = [Site(Staircase(2, {(b,): 1 for b in range(n)}), (0, y))
+                   for n, y in zip(plan.slice_sizes(i), placed.sliding_ys)
+                   if n]
         # Z_i's rows vanish off the x^0 columns, which x^(i-1) carries onto
         # block x^(i-1) in the same order
         z_rows = conditions_matrix(z_sites, e, p,
@@ -404,12 +398,10 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
     if scene is None:
         raise ValueError("oracle mode needs a scene")
     _require_desk_scale(plan, model, scene)
-    p = scene.prime
-    rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
+    placements = _placements(plan, scene, seed, "hypothesis")
     least = None
     for _ in range(trials):
-        placed = _materialize_scene(plan, scene, rng, p)
-        dims = _level_dims(plan, placed, model.degree, p)
+        dims = _level_dims(plan, next(placements), model.degree, scene.prime)
         least = dims if least is None else [
             (min(a, a2), min(b, b2)) for (a, b), (a2, b2) in zip(least, dims)]
     for i, (a, b) in enumerate(least, 1):
@@ -496,11 +488,10 @@ def apply_theorem(plan: SpecializationPlan, model: LineSystemModel,
                  "ambient_sections": ambient_sections(model.degree - r),
                  "oracle": None}
     if scene is not None:
-        p = scene.prime
-        rng = random.Random(f"{seed}:{scene.seed}:dim-bound")
-        placed = _materialize_scene(plan, scene, rng, p)
+        placed = next(_placements(plan, scene, seed, "dim-bound"))
         dim_bound["oracle"] = _system_dim(
-            model.degree - r, _residual_system_sites(plan, placed, r, residual), p)
+            model.degree - r, _residual_system_sites(placed, r, residual),
+            scene.prime)
     return ResidualCertificate(plan, model, r, residual, residual_alg,
                                verdicts, findings, bookkeeping, dim_bound)
 
@@ -561,8 +552,7 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     _require_desk_scale(plan, model, scene)
     d = model.degree
     p = scene.prime
-    rng = random.Random(f"{seed}:{scene.seed}:limit")
-    placed = _materialize_scene(plan, scene, rng, p)
+    placed = next(_placements(plan, scene, seed, "limit"))
     cols = _x_block_columns(d)
     rref, pivots = rref_mod_p(
         conditions_matrix(_base_sites(placed, 0), d, p, cols), p)
@@ -605,9 +595,9 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \
         else plan.residual_tuple()
-    target_sites = _residual_system_sites(plan, placed, r, residual)
+    target_sites = _residual_system_sites(placed, r, residual)
     gcols = _x_block_columns(d - r)
-    grows = conditions_matrix(target_sites, d - r, p, gcols) if gcols else []
+    grows = conditions_matrix(target_sites, d - r, p, gcols)
     target = [[vec[col] if col < len(gcols) else 0 for col in free]
               for vec in kernel_mod_p(grows, len(gcols), p)]
 

@@ -326,7 +326,7 @@ def pdiv_t(a, k):
 # matrices over F_p[t]: fraction-free elimination and kernels over F_p(t)
 # ---------------------------------------------------------------------------
 
-def _row_normalize_t(row, p):
+def _row_normalize_t(row):
     """Divide a polynomial row by the common power of t (content in t)."""
     vals = [pval(c) for c in row if c]
     if not vals:
@@ -360,7 +360,7 @@ def kernel_over_fpt(rows, ncols, p):
                 f = row[col]
                 row = [psub(pmul(pc, c, p), pmul(f, d, p), p)
                        for c, d in zip(row, work[ri])]
-                row = _row_normalize_t(row, p)
+                row = _row_normalize_t(row)
         # find a fresh pivot
         piv = None
         for col in range(ncols):
@@ -391,6 +391,6 @@ def kernel_over_fpt(rows, ncols, p):
             vec = [pmul(pc, c, p) if j != col else c
                    for j, c in enumerate(vec)]
             vec[col] = pscale(acc, p - 1, p)
-        vec = _row_normalize_t(vec, p)
+        vec = _row_normalize_t(vec)
         basis.append(vec)
     return basis

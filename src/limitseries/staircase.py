@@ -115,6 +115,7 @@ class Staircase:
         """
         if self.dim < 2:
             raise ValueError("slice needs dim >= 2")
+        k = _integer(k, "slice index", 0)
         new_heights: dict = {}
         for key, h in self.heights.items():
             if h > k:
@@ -124,10 +125,12 @@ class Staircase:
 
     def slice_size(self, k: int) -> int:
         """Number of cells of the k-th slice."""
+        k = _integer(k, "slice index", 0)
         return sum(1 for h in self.heights.values() if h > k)
 
     def suppress(self, t: int) -> "Staircase":
         """S(E, t): decrement every height exceeding t."""
+        t = _integer(t, "suppression index", 0)
         new_heights = {}
         for key, h in self.heights.items():
             new_heights[key] = h - 1 if t < h else h

@@ -118,6 +118,35 @@ class TestConstellation:
         with pytest.raises(ValueError, match=match):
             EnriquesDiagram.from_json(data)
 
+    @pytest.mark.parametrize("data,match", [
+        # each raised a bare TypeError
+        ([], r"^diagram must be an object, got \[\]$"),
+        ({"vertices": 3}, "^vertices must be a list, got 3$"),
+        ({"vertices": [1]}, "^vertex must be an object, got 1$"),
+        ({"vertices": [{"id": 0, "proximate_to": 5}]},
+         "^proximate_to must be a list, got 5$"),
+        ({"vertices": [{"id": 0, "proximate_to": []}], "multiplicities": 5},
+         "^multiplicities must be a list, got 5$"),
+    ], ids=["diagram", "vertices", "vertex", "proximate_to",
+            "multiplicities"])
+    def test_json_refuses_fields_of_the_wrong_type(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            EnriquesDiagram.from_json(data)
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: EnriquesDiagram(()), ValueError,
+         "^diagram needs at least the root vertex$"),
+        (lambda: EnriquesDiagram(((), (0,), (0, 1), (0, 1, 2))), ValueError,
+         "^vertex 3 is proximate to 3 vertices"),
+        (lambda: EnriquesDiagram(((), (0,)), (1,)), ValueError,
+         "^one multiplicity per vertex required$"),
+        (lambda: diagram_degree(four_point_constellation()),
+         MultiplicitiesUnset, "^diagram has no multiplicities$"),
+    ], ids=["empty", "three proximities", "multiplicity count", "unset"])
+    def test_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 class TestUnloaded:
     def test_single_vertex(self):

@@ -4,8 +4,8 @@ import pytest
 
 from limitseries import horace
 from limitseries.errors import (DomainError, HypothesisFailed,
-                                LengthMismatch, OracleResourceLimit,
-                                PrimeTooSmall)
+                                LengthMismatch, MonotonicityViolation,
+                                OracleResourceLimit, PrimeTooSmall)
 from limitseries.horace import (LineSystemModel, OracleScene,
                                 SpecializationPlan, apply_theorem,
                                 build_nagata_plan, hypothesis_check,
@@ -70,12 +70,18 @@ def nagata_scene(k, m):
     (RingContext, (2,), {"x_cap": 4.0}, "x_cap"),
     (RingContext, (2,), {"t_trunc": 3.5}, "t_trunc"),
     (chain_context, (regular(1), 1.5, [2]), {}, "speed v"),
+    (Staircase.slice, (regular(3), 0.5), {}, "slice index"),
+    (Staircase.slice_size, (regular(3), 0.5), {}, "slice index"),
+    (Staircase.suppress, (regular(3), 2.5), {}, "suppression index"),
+    (SpecializationPlan.t_vector, (build_nagata_plan(4, 1, 1)[0], 1.5), {},
+     "level index"),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_entry_points_refuse_non_integral_arguments(fn, args, kwargs, name):
     # bookkeeping_identity(4.5, 1, 1) once returned False, virtual_hilbert(
     # 3.5, 2) returned 3.5, regular(2.5) and the others raised a bare
-    # TypeError from inside range() or an index, and r_override=1.5 ran the
-    # whole flat limit first
+    # TypeError from inside range() or an index, r_override=1.5 ran the
+    # whole flat limit first, and suppress(2.5) read as suppress(2) and
+    # slice(0.5) as slice(0)
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         fn(*args, **kwargs)
 
@@ -119,15 +125,56 @@ def test_entry_points_refuse_non_integral_arguments(fn, args, kwargs, name):
     (RingContext, (2,), {"t_trunc": 0}, "t_trunc", 1),
     (translate_ideal, (regular(1), 0, RingContext(2)), {}, "speed v", 1),
     (chain_context, (regular(1), 0, [2]), {}, "speed v", 1),
+    (Staircase.slice, (regular(3), -1), {}, "slice index", 0),
+    (Staircase.slice_size, (regular(3), -1), {}, "slice index", 0),
+    (Staircase.suppress, (regular(3), -1), {}, "suppression index", 0),
+    (SpecializationPlan.t_vector, (build_nagata_plan(4, 1, 1)[0], 0), {},
+     "level index", 1),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_entry_points_refuse_counts_below_their_bound(fn, args, kwargs, name,
                                                       least):
-    # these were about 25 hand-written checks with three exception types
+    # these were about 25 hand-written checks with three exception types;
+    # suppress(-1) once lowered every height, slice(-1) read as slice(0)
+    # and t_vector(0) as the last level's vector
     with pytest.raises(DomainError,
                        match=f"^{name} must be >= {least}, got {least - 1}$"):
         fn(*args, **kwargs)
     with pytest.raises(ValueError):
         fn(*args, **kwargs)
+
+
+def test_level_index_runs_from_one_to_r():
+    # t_vector(2) of a one-level plan raised a bare IndexError
+    plan = build_nagata_plan(4, 1, 1)[0]
+    assert plan.r == 1
+    for read in (plan.t_vector, plan.slice_sizes, plan.z_degree):
+        with pytest.raises(DomainError,
+                           match=r"^level index must be <= 1, got 2$"):
+            read(2)
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: Staircase(2, {(0,): 1, (1,): 2}), MonotonicityViolation),
+    (lambda: RingContext(dim=2, prime=9), PrimeTooSmall),
+], ids=["heights", "prime"])
+def test_invalid_heights_and_primes_are_value_errors(build, error):
+    # both once escaped an except ValueError
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert isinstance(refused.value, error)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: SpecializationPlan([regular(1)], (1, 2), (3,)), ValueError,
+     "^one speed per shape required$"),
+    (lambda: build_nagata_plan(4, 1, 3), DomainError,
+     "^s must satisfy 0 <= s <= k-2, got 3$"),
+    (lambda: hypothesis_check(*build_nagata_plan(4, 1, 1), mode="bogus"),
+     ValueError, "^unknown mode 'bogus'$"),
+], ids=["speeds", "s", "mode"])
+def test_plan_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestValidatePlan:
@@ -146,6 +193,17 @@ class TestValidatePlan:
         findings = validate_plan(plan)
         assert [f.code for f in findings] == ["BoundaryWarning"]
         assert findings[0].severity == "warning"
+
+    @pytest.mark.parametrize("levels,code", [
+        ((3, 0), "NonPositiveLevel"),
+        ((2, 3), "NonDecreasingLevels"),
+    ])
+    def test_level_errors(self, levels, code):
+        plan = simple_plan([regular(1)], (1,), levels)
+        assert code in [f.code for f in validate_plan(plan)
+                        if f.severity == "error"]
+        with pytest.raises(HypothesisFailed, match="levels must"):
+            apply_theorem(plan, LineSystemModel(3, (0, 0)))
 
     def test_empty_levels_is_informational(self):
         plan = simple_plan([regular(1)], (1,), ())

@@ -15,7 +15,8 @@ from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
                                 require_desk_scale, system_dimension,
                                 verify_nagata_theorem)
 from limitseries.linalg import echelon_mod_p, rank_mod_p
-from limitseries.staircase import f_staircase, make_staircase, regular
+from limitseries.staircase import (Staircase, f_staircase, make_staircase,
+                                   regular)
 
 from util import (SECOND_PRIME, partitions_up_to, per_degree_oracle,
                   plain_site_rows, site_corpus)
@@ -32,6 +33,16 @@ class TestConditionsMatrix:
     def test_empty_site_list(self):
         rows = conditions_matrix([], 3, P)
         assert rows == []
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: Site(Staircase(3, {(0, 0): 1})),
+         "^interpolation sites are planar"),
+        (lambda: conditions_matrix([Site(regular(1))], 2, P),
+         "^site position must be materialized first$"),
+    ], ids=["3-D shape", "unplaced"])
+    def test_refusals(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_two_double_points_rank_five(self):
         # the double line through both points survives in degree 2

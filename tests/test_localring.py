@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitseries import horace
-from limitseries.errors import (BoundaryWarning, CapExceeded,
+from limitseries.errors import (BoundaryWarning, CapExceeded, CapExhausted,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
@@ -326,6 +326,30 @@ class TestResidualChain:
         assert roomy.contains(mono(roomy.ctx, (3, 0)))
         relabelled = MonomialSpace.from_columns(c.with_cap(3), chain.columns)
         assert relabelled != chain
+
+    @pytest.mark.parametrize("plain_rows", [
+        lambda cap, n: [],
+        lambda cap, n: [{((cap + 1 + j, 0), 0): 1} for j in range(n)],
+    ], ids=["fewer rows", "rows above the cap"])
+    def test_graded_and_plain_spaces_that_differ(self, plain_rows):
+        chain = residual_chain(regular(2), 1, [3])
+        plain = MonomialSpace.from_elements(
+            chain.ctx, plain_rows(chain.ctx.x_cap, chain.dimension()))
+        assert chain != plain and plain != chain
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: TModule.from_rows(P, 2, 2, [{-1 << _key_width(2): 1}]),
+         ValueError, "^negative key in"),
+        (lambda: residual_chain(regular(1), 1, [2]).colon_x1().colon_x1(),
+         CapExhausted, "^x_cap already exhausted$"),
+        (lambda: translate_ideal(regular(1), 1, ctx2(t=None)).span(),
+         ValueError, "^ideal spans need a finite t-truncation$"),
+        (lambda: closed_form_residual(regular(1), 1, [], ctx2(t=None)),
+         ValueError, "^closed form needs a finite t-truncation$"),
+    ], ids=["negative key", "colon at cap 0", "span", "closed form"])
+    def test_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
     @staticmethod
     def _old_headroom(E, k):

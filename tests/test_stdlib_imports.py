@@ -57,6 +57,34 @@ def test_every_imported_name_is_used():
     assert [hit for path in modules for hit in unused_imports(path)] == []
 
 
+def unused_parameters(path):
+    """file:line: function(name) for every parameter a function never
+    reads.  self and cls are exempt, and so are the parameters of dunder
+    methods other than __init__: Python fixes their signatures."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name != "__init__" and node.name[:2] == node.name[-2:] == "__":
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and
+                isinstance(name.ctx, ast.Load)}
+        out.extend(f"{path.name}:{node.lineno}: {node.name}({arg.arg})"
+                   for arg in params
+                   if arg.arg not in ("self", "cls", *read))
+    return out
+
+
+def test_every_parameter_is_read():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in unused_parameters(path)] == []
+
+
 FPT_REFERENCE = {"kernel_over_fpt", "pnorm", "padd", "psub", "pscale", "pmul",
                  "pval", "pdiv_t"}
 

@@ -557,17 +557,18 @@ def plain_hypothesis_dims(plan, model, scene, trials=2, seed=0):
     scenes as hypothesis_check does: the reference its one elimination per
     trial must match, [(dim_with_z, dim_next), ...]."""
     p, d = scene.prime, model.degree
-    rng = random.Random(f"{seed}:{scene.seed}:hypothesis")
+    placements = horace._placements(plan, scene, seed, "hypothesis")
     least = [(None, None)] * plan.r
     for _ in range(trials):
-        placed = horace._materialize_scene(plan, scene, rng, p)
+        placed = next(placements)
         for i in range(1, plan.r + 1):
             sites_with = horace._base_sites(placed, i - 1)
             for E, t, y in zip(plan.shapes, plan.t_vector(i),
                                placed.sliding_ys):
-                Z = horace._slice_as_plane(E.slice(t))
-                if not Z.is_empty:
-                    sites_with.append(Site(Z, (0, y)))
+                # the slice T(E, t) as the line scheme (x, y^size) at (0, y)
+                size = E.slice(t).degree
+                if size:
+                    sites_with.append(Site(make_staircase([1] * size), (0, y)))
             a = horace._system_dim(d - i + 1, sites_with, p)
             b = horace._system_dim(d - i, horace._base_sites(placed, i), p)
             a0, b0 = least[i - 1]
@@ -582,14 +583,13 @@ def plain_limit_target(plan, model, scene, seed=0, residual_override=None,
     residual): the degree-d base rows over all columns, and x^r times a
     kernel basis of L_(d-r)(base_r + residual) over all columns."""
     d, p = model.degree, scene.prime
-    rng = random.Random(f"{seed}:{scene.seed}:limit")
-    placed = horace._materialize_scene(plan, scene, rng, p)
+    placed = next(horace._placements(plan, scene, seed, "limit"))
     cols = monomials_of_degree_at_most(d)
     base_rows = conditions_matrix(horace._base_sites(placed, 0), d, p)
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \
         else plan.residual_tuple()
-    target_sites = horace._residual_system_sites(plan, placed, r, residual)
+    target_sites = horace._residual_system_sites(placed, r, residual)
     gcols = monomials_of_degree_at_most(d - r)
     grows = conditions_matrix(target_sites, d - r, p) if d - r >= 0 else []
     target = []
@@ -662,8 +662,7 @@ def torus_scene(plan, model, scene, seed=0):
     (v,) = set(plan.speeds)
     assert not scene.ambient_base
     d, p = model.degree, scene.prime
-    rng = random.Random(f"{seed}:{scene.seed}:limit")
-    placed = horace._materialize_scene(plan, scene, rng, p)
+    placed = next(horace._placements(plan, scene, seed, "limit"))
     cols = [(a, b) for a in range(d + 1) for b in range(d - a + 1)]
     at_one = conditions_matrix(horace._base_sites(placed, 0), d, p, cols)
     moving = [{(mon, 0): c for mon, c in zip(cols, row) if c}
