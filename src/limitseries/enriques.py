@@ -9,16 +9,15 @@ proximity sets, multiplicities.  No surfaces, no pushforwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
-from .staircase import _integer, _integers, _json_int, f_staircase, regular
+from .staircase import (_integer, _integers, _json_int, _Value, f_staircase,
+                        regular)
 
 MAX_SEARCH_MULTIPLICITY = 16
 
 
-@dataclass(frozen=True)
-class EnriquesDiagram:
+class EnriquesDiagram(_Value):
     """Rooted proximity structure with optional multiplicities.
 
     proximities[i] is the frozenset of earlier vertices that vertex i is
@@ -27,13 +26,11 @@ class EnriquesDiagram:
     parent and to at most one more vertex (free or satellite).
     """
 
-    proximities: tuple
-    multiplicities: tuple | None = None
+    __slots__ = ("proximities", "multiplicities")
 
-    def __post_init__(self):
+    def __init__(self, proximities, multiplicities=None):
         prox = tuple(frozenset(_integers(s, "proximity", 0))
-                     for s in self.proximities)
-        object.__setattr__(self, "proximities", prox)
+                     for s in proximities)
         if not prox:
             raise ValueError("diagram needs at least the root vertex")
         if prox[0]:
@@ -47,11 +44,11 @@ class EnriquesDiagram:
                     "a parent and one satellite partner are allowed")
             if any(j >= i for j in s):
                 raise ValueError(f"vertex {i} references a later vertex")
-        if self.multiplicities is not None:
-            mult = _integers(self.multiplicities, "multiplicity", 0)
-            if len(mult) != len(prox):
+        if multiplicities is not None:
+            multiplicities = _integers(multiplicities, "multiplicity", 0)
+            if len(multiplicities) != len(prox):
                 raise ValueError("one multiplicity per vertex required")
-            object.__setattr__(self, "multiplicities", mult)
+        super().__init__(prox, multiplicities)
 
     @property
     def size(self):

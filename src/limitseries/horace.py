@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (DomainError, HypothesisFailed, IdentityFailure,
@@ -29,29 +28,26 @@ from .linalg import (DEFAULT_PRIME, _pack, _slot_width, echelon_mod_p,
                      rref_mod_p)
 from .localring import RingContext, flat_limit
 from .staircase import (Staircase, StaircaseTuple, _integer, _integers,
-                        regular, suppress_tuple)
+                        _Record, _Value, regular, suppress_tuple)
 
 # ---------------------------------------------------------------------------
 # plan and model types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecializationPlan:
+class SpecializationPlan(_Value):
     """Shapes, speeds and restriction levels; derived data is recomputed."""
 
-    shapes: StaircaseTuple
-    speeds: tuple
-    levels: tuple
+    __slots__ = ("shapes", "speeds", "levels")
 
-    def __post_init__(self):
-        shapes = self.shapes if isinstance(self.shapes, StaircaseTuple) \
-            else StaircaseTuple(self.shapes)
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "speeds", _integers(self.speeds, "speed", 1))
-        object.__setattr__(self, "levels", _integers(self.levels, "level"))
-        if len(self.speeds) != len(shapes):
+    def __init__(self, shapes, speeds, levels):
+        if not isinstance(shapes, StaircaseTuple):
+            shapes = StaircaseTuple(shapes)
+        speeds = _integers(speeds, "speed", 1)
+        levels = _integers(levels, "level", 0)
+        if len(speeds) != len(shapes):
             raise ValueError("one speed per shape required")
+        super().__init__(shapes, speeds, levels)
 
     @property
     def r(self) -> int:
@@ -102,18 +98,15 @@ class SpecializationPlan:
         }
 
 
-@dataclass(frozen=True)
-class LineSystemModel:
+class LineSystemModel(_Value):
     """Degree of the ambient system and, per level, the degree of the
     conditions already sitting on the divisor."""
 
-    degree: int
-    line_base_degrees: tuple
+    __slots__ = ("degree", "line_base_degrees")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _integer(self.degree, "degree", 0))
-        object.__setattr__(self, "line_base_degrees",
-                           _integers(self.line_base_degrees, "base degree", 0))
+    def __init__(self, degree, line_base_degrees):
+        super().__init__(_integer(degree, "degree", 0),
+                         _integers(line_base_degrees, "base degree", 0))
 
     def to_json(self):
         return {"degree": self.degree,
@@ -121,32 +114,27 @@ class LineSystemModel:
                 "ambient": "P2"}
 
 
-@dataclass(frozen=True)
-class OracleScene:
+class OracleScene(_Value):
     """Concrete desk-scale geometry: the divisor is the line x = 0;
     multiplicities of fat-point base conditions on and off it.
     Multiplicities are integers >= 1, the prime a prime and the seed an
     integer."""
 
-    divisor_base: tuple = ()
-    ambient_base: tuple = ()
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
+    __slots__ = ("divisor_base", "ambient_base", "prime", "seed")
 
-    def __post_init__(self):
-        for name in ("divisor_base", "ambient_base"):
-            object.__setattr__(self, name, _integers(getattr(self, name),
-                                                     "multiplicity", 1))
-        object.__setattr__(self, "prime", require_prime(self.prime))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+    def __init__(self, divisor_base=(), ambient_base=(), prime=DEFAULT_PRIME,
+                 seed=0):
+        super().__init__(_integers(divisor_base, "multiplicity", 1),
+                         _integers(ambient_base, "multiplicity", 1),
+                         require_prime(prime), _integer(seed, "seed"))
 
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    severity: str  # "error" | "warning" | "info"
-    message: str
-    data: dict = field(default_factory=dict)
+class Finding(_Value):
+    __slots__ = ("code", "severity", "message", "data")
+
+    def __init__(self, code, severity, message, data=None):
+        # severity: "error" | "warning" | "info"
+        super().__init__(code, severity, message, {} if data is None else data)
 
     def to_json(self):
         return {"code": self.code, "severity": self.severity,
@@ -240,11 +228,12 @@ def slice_degree_table(plan: SpecializationPlan, k: int, m: int, s: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Placed:
-    sliding_ys: list
-    divisor: list   # (multiplicity, y)
-    ambient: list   # (multiplicity, (x, y))
+class _Placed(_Record):
+    # divisor: (multiplicity, y) pairs; ambient: (multiplicity, (x, y)) pairs
+    __slots__ = ("sliding_ys", "divisor", "ambient")
+
+    def __init__(self, sliding_ys, divisor, ambient):
+        super().__init__(sliding_ys, divisor, ambient)
 
 
 def _require_desk_scale(plan, model, scene):
@@ -415,17 +404,14 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResidualCertificate:
-    plan: SpecializationPlan
-    model: LineSystemModel
-    r: int
-    residual: StaircaseTuple
-    residual_algebraic: StaircaseTuple | None
-    verdicts: list
-    findings: list
-    bookkeeping: dict
-    dim_bound: dict
+class ResidualCertificate(_Record):
+    __slots__ = ("plan", "model", "r", "residual", "residual_algebraic",
+                 "verdicts", "findings", "bookkeeping", "dim_bound")
+
+    def __init__(self, plan, model, r, residual, residual_algebraic, verdicts,
+                 findings, bookkeeping, dim_bound):
+        super().__init__(plan, model, r, residual, residual_algebraic,
+                         verdicts, findings, bookkeeping, dim_bound)
 
     def to_json(self):
         return {

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import OracleResourceLimit, PrimeTooSmall
 from .hilbert import ambient_sections, fat_point_degree, virtual_hilbert
 from .linalg import DEFAULT_PRIME, echelon_mod_p, require_prime
-from .staircase import Staircase, _integer, _integers, regular
+from .staircase import (Staircase, _integer, _integers, _Record, _Value,
+                        regular)
 
 # the one budget for conditions-matrix work, in matrix entries.  Cost
 # follows the entry count.  limit_inclusion_check on Nagata plans (k, m, s),
@@ -44,8 +44,7 @@ def require_desk_scale(nrows: int, ncols: int, force: bool = False) -> None:
             f"exceeds the desk-scale budget of {DESK_MATRIX_BUDGET}")
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(_Value):
     """A punctual scheme site: position, local frame, staircase shape.
 
     position None means "generic": drawn from the seeded RNG per trial.
@@ -54,19 +53,16 @@ class Site:
     frame is a 2x2 invertible matrix sending local to global coordinates.
     """
 
-    shape: Staircase
-    position: tuple | None = None
-    frame: tuple | None = None
+    __slots__ = ("shape", "position", "frame")
 
-    def __post_init__(self):
-        if self.shape.dim != 2:
+    def __init__(self, shape: Staircase, position=None, frame=None):
+        if shape.dim != 2:
             raise ValueError("interpolation sites are planar (d=2 shapes)")
-        if self.position is not None:
-            object.__setattr__(self, "position",
-                               _integers(self.position, "site coordinate"))
-        if self.frame is not None:
-            object.__setattr__(self, "frame", tuple(
-                _integers(row, "frame entry") for row in self.frame))
+        if position is not None:
+            position = _integers(position, "site coordinate")
+        if frame is not None:
+            frame = tuple(_integers(row, "frame entry") for row in frame)
+        super().__init__(shape, position, frame)
 
     def is_fat_point(self) -> bool:
         """Whether the shape is regular(m), m its largest height: heights
@@ -77,13 +73,13 @@ class Site:
             heights.get((y,)) == m - y for y in range(m))
 
 
-@dataclass(frozen=True)
-class SystemDescriptor:
+class SystemDescriptor(_Value):
     """A linear system: degree-d curves through the base sites."""
 
-    degree: int
-    base_sites: tuple = ()
-    prime: int = DEFAULT_PRIME
+    __slots__ = ("degree", "base_sites", "prime")
+
+    def __init__(self, degree, base_sites=(), prime=DEFAULT_PRIME):
+        super().__init__(degree, base_sites, prime)
 
 
 def monomials_of_degree_at_most(d: int):
@@ -260,20 +256,17 @@ def system_dimension(sys: SystemDescriptor, extra_sites=(), trials: int = 3,
     return ambient_sections(sys.degree) - rank
 
 
-@dataclass
-class NagataReport:
+class NagataReport(_Record):
     """Oracle-vs-formula table for k^2 fat points of multiplicity m."""
 
-    k: int
-    m: int
-    d_max: int
-    trials: int
-    seed: int
-    prime: int
-    prime2: int | None
-    rows: list = field(default_factory=list)
-    passed: bool = False
-    cross_check_agrees: bool | None = None
+    __slots__ = ("k", "m", "d_max", "trials", "seed", "prime", "prime2",
+                 "rows", "passed", "cross_check_agrees")
+
+    def __init__(self, k, m, d_max, trials, seed, prime, prime2, rows=None,
+                 passed=False, cross_check_agrees=None):
+        super().__init__(k, m, d_max, trials, seed, prime, prime2,
+                         [] if rows is None else rows, passed,
+                         cross_check_agrees)
 
     def to_json(self) -> dict:
         return {

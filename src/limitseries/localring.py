@@ -35,7 +35,7 @@ canonical rows directly (the Howell property below).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
 from operator import index
 
@@ -43,15 +43,14 @@ from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
                      InvalidTruncation, PrimeTooSmall)
 from .linalg import DEFAULT_PRIME, require_prime, rref_mod_p
-from .staircase import Staircase, _integer, _integers
+from .staircase import Staircase, _integer, _integers, _Value
 
 # ---------------------------------------------------------------------------
 # contexts and elements
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(_Value):
     """Ambient data: dimension, prime, t-truncation and x-degree cap.
 
     ``t_trunc=None`` means untruncated working precision (exact polynomials
@@ -59,27 +58,24 @@ class RingContext:
     tracked degrees stay invertible.
     """
 
-    dim: int
-    prime: int = DEFAULT_PRIME
-    t_trunc: int | None = None
-    x_cap: int = 12
+    __slots__ = ("dim", "prime", "t_trunc", "x_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
-        object.__setattr__(self, "x_cap", _integer(self.x_cap, "x_cap", 0))
-        if self.t_trunc is not None:
-            object.__setattr__(self, "t_trunc",
-                               _integer(self.t_trunc, "t_trunc", 1))
-        object.__setattr__(self, "prime", require_prime(self.prime))
-        if self.prime <= self.x_cap:
+    def __init__(self, dim, prime=DEFAULT_PRIME, t_trunc=None, x_cap=12):
+        dim = _integer(dim, "dim", 1)
+        x_cap = _integer(x_cap, "x_cap", 0)
+        if t_trunc is not None:
+            t_trunc = _integer(t_trunc, "t_trunc", 1)
+        prime = require_prime(prime)
+        if prime <= x_cap:
             raise PrimeTooSmall(
-                f"prime {self.prime} must exceed the x-degree cap {self.x_cap}")
+                f"prime {prime} must exceed the x-degree cap {x_cap}")
+        super().__init__(dim, prime, t_trunc, x_cap)
 
     def with_t(self, n):
-        return replace(self, t_trunc=n)
+        return RingContext(self.dim, self.prime, n, self.x_cap)
 
     def with_cap(self, cap):
-        return replace(self, x_cap=cap)
+        return RingContext(self.dim, self.prime, self.t_trunc, cap)
 
     def compatible(self, other: "RingContext") -> bool:
         return self.dim == other.dim and self.prime == other.prime
@@ -101,7 +97,7 @@ def _monomial_key(key, dim):
     return a, b
 
 
-class Element:
+class Element(_Value):
     """A finite sum of monomials x^a t^b with F_p coefficients."""
 
     __slots__ = ("ctx", "terms")
@@ -118,9 +114,6 @@ class Element:
                 clean[(a, b)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     @classmethod
     def monomial(cls, ctx, xexps, texp=0, coeff=1):
@@ -395,11 +388,15 @@ class TModule:
             vals.append(e)
         return cls(p, n, ncoords, rows, pivots, vals)
 
-    @classmethod
-    def full(cls, p, n, ncoords):
+    @staticmethod
+    @lru_cache(maxsize=512)
+    def full(p, n, ncoords):
+        """The free module, one shared instance per (p, n, ncoords): no
+        TModule's rows change after construction."""
         b = _key_width(n)
         rows = [{j << b: 1} for j in range(ncoords)]
-        return cls(p, n, ncoords, rows, list(range(ncoords)), [0] * ncoords)
+        return TModule(p, n, ncoords, rows, list(range(ncoords)),
+                       [0] * ncoords)
 
     # -- queries ---------------------------------------------------------------
 
@@ -463,6 +460,8 @@ class TModule:
         """{g : x_1 * g in M}, one coordinate fewer: by the Howell property
         the rows with pivot >= 1, shifted down one coordinate, are already
         its canonical form."""
+        if self.is_full:
+            return TModule.full(self.p, self.n, self.ncoords - 1)
         k = 1 if self.pivots[:1] == [0] else 0  # pivots increase
         one = 1 << self.b  # coordinate 1 at t^0
         return TModule(self.p, self.n, self.ncoords - 1,
@@ -658,13 +657,13 @@ class MonomialSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyIdeal:
+class FamilyIdeal(_Value):
     """Generators of an ideal (or explicit module) in a ring context."""
 
-    ctx: RingContext
-    generators: tuple
-    provenance: str = "derived"
+    __slots__ = ("ctx", "generators", "provenance")
+
+    def __init__(self, ctx, generators, provenance="derived"):
+        super().__init__(ctx, generators, provenance)
 
     def truncate(self, n_to):
         return FamilyIdeal(self.ctx.with_t(n_to),

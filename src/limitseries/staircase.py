@@ -34,6 +34,52 @@ def _integers(values, what, least=None):
     return tuple(_integer(v, what, least) for v in values)
 
 
+class _Value:
+    """An immutable value whose __slots__ name the parameters of __init__,
+    in order: equality, hash and a dataclass-style repr over them,
+    assignment refused, and copy and pickle rebuilt through __init__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Record(_Value):
+    """A _Value whose fields can be reassigned; unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
 def _json_int(value, what):
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -42,7 +88,7 @@ def _json_int(value, what):
     return value
 
 
-class Staircase:
+class Staircase(_Value):
     """A finite staircase of N^d, d >= 1."""
 
     __slots__ = ("dim", "heights", "_hash")
@@ -63,9 +109,6 @@ class Staircase:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "heights", clean)
         object.__setattr__(self, "_hash", hash((dim, tuple(sorted(clean.items())))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Staircase is immutable")
 
     # -- basic queries ------------------------------------------------------
 
@@ -251,6 +294,9 @@ class Staircase:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # _hash is not an __init__ parameter
+        return Staircase, (self.dim, self.heights)
+
     def __repr__(self):
         if self.dim == 2:
             hs = ",".join(str(self.height((y,)))
@@ -318,7 +364,7 @@ def suppress_seq(E: Staircase, ts) -> Staircase:
     return E
 
 
-class StaircaseTuple:
+class StaircaseTuple(_Value):
     """A nonempty ordered tuple of staircases of the same dimension."""
 
     __slots__ = ("entries",)
@@ -330,10 +376,7 @@ class StaircaseTuple:
         dims = {E.dim for E in entries}
         if len(dims) != 1:
             raise ValueError("staircase tuple entries must share a dimension")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StaircaseTuple is immutable")
+        super().__init__(entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -351,12 +394,6 @@ class StaircaseTuple:
     @property
     def degree(self):
         return sum(E.degree for E in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, StaircaseTuple) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"StaircaseTuple({list(self.entries)!r})"

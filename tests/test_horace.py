@@ -167,11 +167,14 @@ def test_invalid_heights_and_primes_are_value_errors(build, error):
 @pytest.mark.parametrize("call,error,match", [
     (lambda: SpecializationPlan([regular(1)], (1, 2), (3,)), ValueError,
      "^one speed per shape required$"),
+    # refused at construction, not by a later slice or suppression
+    (lambda: SpecializationPlan([regular(2)], (1,), (-1,)), DomainError,
+     r"^level must be >= 0, got -1$"),
     (lambda: build_nagata_plan(4, 1, 3), DomainError,
      "^s must satisfy 0 <= s <= k-2, got 3$"),
     (lambda: hypothesis_check(*build_nagata_plan(4, 1, 1), mode="bogus"),
      ValueError, "^unknown mode 'bogus'$"),
-], ids=["speeds", "s", "mode"])
+], ids=["speeds", "negative-level", "s", "mode"])
 def test_plan_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

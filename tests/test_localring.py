@@ -1167,3 +1167,33 @@ class TestModuleColon:
         # val > 0 at coordinate 0, full, zero and one-coordinate modules
         for case in range(4):
             assert any(s[case] for s in seen)
+
+
+class TestSharedFullModule:
+    """TModule.full hands out one shared instance per (p, n, ncoords), so
+    nothing may change a module's rows after construction."""
+
+    def test_operations_leave_the_shared_rows_unchanged(self):
+        E = make_staircase([3, 1])
+        ns = [4, 2]
+        ctx = chain_context(E, 1, ns)
+        p, n = ctx.prime, ns[-1]
+        spaces = [residual_chain(E, 1, ns, ctx), closed_form_span(E, 1, ns, ctx)]
+        shared = [mod for space in spaces for mod in space.columns.values()
+                  if mod is TModule.full(p, n, mod.ncoords)]
+        assert shared  # the columns outside E are the shared instances
+        for space in spaces:
+            for mod in space.columns.values():
+                mod.expand_rows()
+                mod.truncate(1)
+                if mod.ncoords > 1:
+                    mod.colon()
+            basis = space.basis()
+            assert all(space.contains(el) for el in basis)
+            assert space.contains(basis[0] + basis[-1])
+        assert spaces[0] == spaces[1]
+        b = _key_width(n)
+        for mod in shared:
+            k = mod.ncoords
+            assert TModule.full(p, n, k).rows == [{j << b: 1} for j in range(k)]
+            assert mod.colon() is TModule.full(p, n, k - 1)

@@ -1,17 +1,19 @@
 """The runtime is pure stdlib: every module of the package imports only
 the standard library and the package itself.  The F_p(t) kernel and its
 polynomial helpers are a test reference kept in linalg.py; no other
-module of the package names them."""
+module of the package names them.  Importing the package loads neither
+dataclasses nor inspect."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "limitseries"
 
 
-def foreign_imports(path):
-    out = []
+def absolute_imports(path):
+    """(line, module name) of every absolute import in the module."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -20,16 +22,45 @@ def foreign_imports(path):
         else:
             continue
         for name in names:
-            top = name.split(".")[0]
-            if top not in sys.stdlib_module_names and top != "limitseries":
-                out.append(f"{path.name}:{node.lineno}: {name}")
-    return out
+            yield node.lineno, name
+
+
+def foreign_imports(path):
+    return [f"{path.name}:{line}: {name}"
+            for line, name in absolute_imports(path)
+            if name.split(".")[0] not in (*sys.stdlib_module_names,
+                                          "limitseries")]
 
 
 def test_runtime_imports_only_stdlib():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     assert [hit for path in modules for hit in foreign_imports(path)] == []
+
+
+# dataclasses imports inspect, and with it ast, dis and tokenize, and
+# generates every class's methods with exec: together about three
+# quarters of the package's import time.  The value classes derive from
+# staircase._Value instead.  bench/ and the tests may use dataclasses.
+SLOW_MODULES = ("dataclasses", "inspect")
+
+
+def test_runtime_never_imports_dataclasses():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert [f"{path.name}:{line}: {name}" for path in modules
+            for line, name in absolute_imports(path)
+            if name.split(".")[0] == "dataclasses"] == []
+
+
+def test_import_leaves_slow_modules_unloaded():
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import limitseries; "
+             f"print(sorted(set({SLOW_MODULES!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe,
+                          str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def unused_imports(path):
