@@ -17,15 +17,13 @@ from .horace import (LineSystemModel, OracleScene, ResidualCertificate,
                      SpecializationPlan, apply_theorem, build_nagata_plan,
                      hypothesis_check, limit_inclusion_check,
                      nagata_certificate, slice_degree_table, validate_plan)
-from .interp import (Site, SystemDescriptor, conditions_matrix,
-                     hilbert_function_of, system_dimension,
+from .interp import (Site, conditions_matrix, hilbert_function_of,
                      verify_nagata_theorem)
 from .linalg import DEFAULT_PRIME, is_prime
 from .localring import (Element, FamilyIdeal, MonomialSpace, RingContext,
                         boundary_columns, chain_context, closed_form_residual,
-                        closed_form_span, colon_x1, flat_limit,
-                        residual_chain, restriction_chain, special_fiber,
-                        translate_ideal, truncate)
+                        closed_form_span, flat_limit, residual_chain,
+                        restriction_chain, special_fiber, translate_ideal)
 from .staircase import (Staircase, StaircaseTuple, f_staircase,
                         is_quasi_regular, is_right_specialized,
                         make_staircase, regular, slice_tuple, suppress_seq,

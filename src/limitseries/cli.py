@@ -77,7 +77,7 @@ def _load_staircase(args, attr="heights") -> Staircase:
         with open(args.file) as fh:
             data = fh.read()
         if data.lstrip().startswith(("{", "[")):
-            return Staircase.from_json(data)
+            return Staircase.from_json(json.loads(data))
         return Staircase.from_text(data)
     raise ValueError(f"--{attr} or --file is required")
 

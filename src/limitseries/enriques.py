@@ -8,8 +8,6 @@ proximity sets, multiplicities.  No surfaces, no pushforwards.
 
 from __future__ import annotations
 
-import json
-
 from .errors import MultiplicitiesUnset, NotUnloaded, ResourceLimit
 from .staircase import (_integer, _integers, _json_int, _Value, f_staircase,
                         regular)
@@ -73,9 +71,8 @@ class EnriquesDiagram(_Value):
     def from_json(cls, data) -> "EnriquesDiagram":
         """Read to_json's form: the vertex ids must be exactly 0..n-1, and
         a missing field raises ValueError naming it.  A number with a zero
-        fraction reads as an integer, as draft-07 counts it."""
-        if isinstance(data, str):
-            data = json.loads(data)
+        fraction reads as an integer, as draft-07 counts it.  data is
+        parsed JSON: a string is not an object."""
         try:
             vertices = _json_as(_json_as(data, dict, "diagram")["vertices"],
                                 list, "vertices")

@@ -9,7 +9,7 @@ class MonotonicityViolation(LimitSeriesError, ValueError):
     """Height data does not describe a staircase (heights increase somewhere)."""
 
 
-class LengthMismatch(LimitSeriesError):
+class LengthMismatch(LimitSeriesError, ValueError):
     """Componentwise operation applied to tuples of different lengths."""
 
 
@@ -21,11 +21,11 @@ class CapExhausted(LimitSeriesError):
     """No x-degree headroom left for a colon step."""
 
 
-class InvalidTruncation(LimitSeriesError):
+class InvalidTruncation(LimitSeriesError, ValueError):
     """Truncation target exceeds the context's current t-truncation."""
 
 
-class InvalidSequence(LimitSeriesError):
+class InvalidSequence(LimitSeriesError, ValueError):
     """Level sequence is not strictly decreasing (or not positive)."""
 
 

@@ -528,6 +528,8 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     corrupted target only grows).  A residual_override needs one shape
     per sliding shape of the plan, else LengthMismatch; an r_override must
     be an integer >= 0."""
+    if scene is None:
+        raise ValueError("the limit check needs a scene")
     if r_override is not None:
         r_override = _integer(r_override, "r_override", 0)
     if residual_override is not None and \

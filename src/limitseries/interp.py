@@ -73,15 +73,6 @@ class Site(_Value):
             heights.get((y,)) == m - y for y in range(m))
 
 
-class SystemDescriptor(_Value):
-    """A linear system: degree-d curves through the base sites."""
-
-    __slots__ = ("degree", "base_sites", "prime")
-
-    def __init__(self, degree, base_sites=(), prime=DEFAULT_PRIME):
-        super().__init__(degree, base_sites, prime)
-
-
 def monomials_of_degree_at_most(d: int):
     """Column order for conditions matrices: (i, j) with i + j <= d."""
     return [(i, j) for s in range(d + 1) for i in range(s + 1)
@@ -105,12 +96,17 @@ def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME, cols=None):
     Rows: one per staircase cell over all sites (Taylor coefficient of the
     cell monomial in frame coordinates).  Columns: the (d+1)(d+2)/2 curve
     coefficients in monomials_of_degree_at_most order, or the monomials
-    (i, j) with i + j <= d listed in cols.  Entries are exact integers mod
-    p; two sites whose positions agree mod p are refused.
+    (i, j) with i + j <= d listed in cols, any other refused.  Entries are
+    exact integers mod p; two sites whose positions agree mod p are refused.
     """
     _require_prime_above(p, d)
     if cols is None:
         cols = monomials_of_degree_at_most(d)
+    else:
+        for i, j in cols:
+            if i < 0 or j < 0 or i + j > d:
+                raise ValueError(
+                    f"column ({i}, {j}) is not a monomial of degree <= {d}")
     rows = []
     seen = set()
     for site in sites:
@@ -248,14 +244,6 @@ def hilbert_function_of(sites, d: int, trials: int = 3, seed: int = 0,
                for pivots in _rank_profiles(sites, d, trials, seed, p))
 
 
-def system_dimension(sys: SystemDescriptor, extra_sites=(), trials: int = 3,
-                     seed: int = 0) -> int:
-    """dim of the subspace of degree-d curves through base and extra sites."""
-    sites = tuple(sys.base_sites) + tuple(extra_sites)
-    rank = hilbert_function_of(sites, sys.degree, trials, seed, sys.prime)
-    return ambient_sections(sys.degree) - rank
-
-
 class NagataReport(_Record):
     """Oracle-vs-formula table for k^2 fat points of multiplicity m."""
 
@@ -306,6 +294,8 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     k, m = _integer(k, "k", 1), _integer(m, "m", 1)
     trials = _integer(trials, "trials", 1)
     d_max = k * m + k if d_max is None else _integer(d_max, "d_max", 0)
+    if prime2 == prime:
+        raise ValueError("prime2 must differ from prime")
     deg_z = k * k * fat_point_degree(m)
     require_desk_scale(deg_z, ambient_sections(d_max), force)
     report = NagataReport(k, m, d_max, trials, seed, prime, prime2)

@@ -548,10 +548,6 @@ class MonomialSpace:
                 for el in elements]
         return cls(ctx, rows=_sparse_rref(rows, ctx.prime))
 
-    @classmethod
-    def from_columns(cls, ctx, columns):
-        return cls(ctx, columns=dict(columns))
-
     # -- basic queries ------------------------------------------------------------
 
     def dimension(self):
@@ -624,13 +620,14 @@ class MonomialSpace:
         return self.columns
 
     def truncate(self, n_to):
+        """psi_n: drop every monomial with t-exponent >= n_to."""
         columns = self._graded_columns("truncate")
         cur = self.ctx.t_trunc
         if cur is not None and n_to > cur:
             raise InvalidTruncation(f"cannot truncate from t^{cur} to t^{n_to}")
-        return MonomialSpace.from_columns(
+        return MonomialSpace(
             self.ctx.with_t(n_to),
-            {w: m.truncate(n_to) for w, m in columns.items()})
+            columns={w: m.truncate(n_to) for w, m in columns.items()})
 
     def colon_x1(self):
         """{f : x_1 f in span}; the x-cap drops by one, and with it every
@@ -638,13 +635,9 @@ class MonomialSpace:
         columns = self._graded_columns("colon_x1")
         if self.ctx.x_cap < 1:
             raise CapExhausted("x_cap already exhausted")
-        return MonomialSpace.from_columns(
+        return MonomialSpace(
             self.ctx.with_cap(self.ctx.x_cap - 1),
-            {w: m.colon() for w, m in columns.items() if m.ncoords > 1})
-
-    def special_fiber(self):
-        """Image at t=0, a space over F_p[x]: the truncation to t^1."""
-        return self.truncate(1)
+            columns={w: m.colon() for w, m in columns.items() if m.ncoords > 1})
 
     def __repr__(self):
         kind = "graded" if self.columns is not None else "plain"
@@ -700,7 +693,7 @@ def _graded_space(ctx, bases_of):
         bases = bases_of(w)
         columns[w] = (TModule.full(p, n, ncoords) if bases is None
                       else _shifted_column(p, n, ncoords, bases))
-    return MonomialSpace.from_columns(ctx, columns)
+    return MonomialSpace(ctx, columns=columns)
 
 
 def _shifted_column(p, n, ncoords, bases):
@@ -842,16 +835,6 @@ def restriction_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
 def residual_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """J_{n_1:...:n_k:}: same chain with the final colon applied."""
     return _chain_columns(E, v, ns, ctx, final_colon=True)
-
-
-def truncate(obj, n_to):
-    """psi_{n p}: drop all monomials with t-exponent >= n_to."""
-    return obj.truncate(n_to)
-
-
-def colon_x1(space: MonomialSpace) -> MonomialSpace:
-    """(span : x_1), computed degreewise by exact linear algebra."""
-    return space.colon_x1()
 
 
 def special_fiber(obj) -> MonomialSpace:

@@ -9,7 +9,6 @@ after construction.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 from operator import index
 
@@ -226,9 +225,8 @@ class Staircase(_Value):
     def from_json(cls, data) -> "Staircase":
         """Read to_json's form.  A number with a zero fraction reads as an
         integer, as draft-07 counts it; a missing or malformed field and any
-        other non-integral dim, key or height raise ValueError naming it."""
-        if isinstance(data, str):
-            data = json.loads(data)
+        other non-integral dim, key or height raise ValueError naming it.
+        data is parsed JSON: a string is not an object."""
         if not isinstance(data, dict):
             raise ValueError(f"staircase must be an object, got {data!r}")
         for field in ("dim", "heights"):

@@ -121,13 +121,15 @@ class TestConstellation:
     @pytest.mark.parametrize("data,match", [
         # each raised a bare TypeError
         ([], r"^diagram must be an object, got \[\]$"),
+        # parsed data only: JSON text is a string, not an object
+        ('{"vertices": []}', "^diagram must be an object, got '{"),
         ({"vertices": 3}, "^vertices must be a list, got 3$"),
         ({"vertices": [1]}, "^vertex must be an object, got 1$"),
         ({"vertices": [{"id": 0, "proximate_to": 5}]},
          "^proximate_to must be a list, got 5$"),
         ({"vertices": [{"id": 0, "proximate_to": []}], "multiplicities": 5},
          "^multiplicities must be a list, got 5$"),
-    ], ids=["diagram", "vertices", "vertex", "proximate_to",
+    ], ids=["diagram", "text", "vertices", "vertex", "proximate_to",
             "multiplicities"])
     def test_json_refuses_fields_of_the_wrong_type(self, data, match):
         with pytest.raises(ValueError, match=match):

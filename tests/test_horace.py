@@ -620,6 +620,12 @@ class TestLimitInclusion:
             limit_inclusion_check(plan, model, nagata_scene(4, 1), seed=1,
                                   r_override=-1)
 
+    def test_missing_scene_refused(self):
+        # as in hypothesis_check's oracle mode; it was an AttributeError
+        plan, model = build_nagata_plan(4, 1, 1)
+        with pytest.raises(ValueError, match="^the limit check needs a scene$"):
+            limit_inclusion_check(plan, model, None)
+
     def test_override_of_wrong_length_refused(self):
         # four sliding shapes: a one-shape residual would drop the other
         # three from the target instead of failing

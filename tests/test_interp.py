@@ -9,10 +9,9 @@ from limitseries import interp
 from limitseries.errors import (OracleResourceLimit, PrimeTooSmall,
                                 ResourceLimit)
 from limitseries.hilbert import ambient_sections
-from limitseries.interp import (DESK_MATRIX_BUDGET, Site, SystemDescriptor,
-                                _materialize, _rank_profiles,
-                                conditions_matrix, hilbert_function_of,
-                                require_desk_scale, system_dimension,
+from limitseries.interp import (DESK_MATRIX_BUDGET, Site, _materialize,
+                                _rank_profiles, conditions_matrix,
+                                hilbert_function_of, require_desk_scale,
                                 verify_nagata_theorem)
 from limitseries.linalg import echelon_mod_p, rank_mod_p
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
@@ -39,7 +38,15 @@ class TestConditionsMatrix:
          "^interpolation sites are planar"),
         (lambda: conditions_matrix([Site(regular(1))], 2, P),
          "^site position must be materialized first$"),
-    ], ids=["3-D shape", "unplaced"])
+        # (-1, 0) read the x^1 factor through a negative index, and
+        # (2, 0) ran off the factor list with a bare IndexError
+        (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
+                                   cols=[(0, 0), (-1, 0)]),
+         r"^column \(-1, 0\) is not a monomial of degree <= 1$"),
+        (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
+                                   cols=[(2, 0)]),
+         r"^column \(2, 0\) is not a monomial of degree <= 1$"),
+    ], ids=["3-D shape", "unplaced", "negative column", "column above d"])
     def test_refusals(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -222,26 +229,31 @@ class TestRankProfilesPrefix:
 
 
 class TestSystemDimension:
+    """dim L_d(sites) = ambient_sections(d) - H(d)."""
+
     def test_five_double_points_quartics(self):
-        sys = SystemDescriptor(4, tuple(Site(regular(2)) for _ in range(5)), P)
-        assert system_dimension(sys, trials=3, seed=1) == 1  # double conic
+        sites = [Site(regular(2))] * 5
+        assert ambient_sections(4) - hilbert_function_of(
+            sites, 4, trials=3, seed=1, p=P) == 1  # double conic
 
     def test_lines_through_a_point(self):
-        sys = SystemDescriptor(1, (Site(regular(1)),), P)
-        assert system_dimension(sys, trials=2, seed=1) == 2
+        assert ambient_sections(1) - hilbert_function_of(
+            [Site(regular(1))], 1, trials=2, seed=1, p=P) == 2
 
     def test_four_double_points_quartics(self):
-        sys = SystemDescriptor(4, tuple(Site(regular(2)) for _ in range(4)), P)
-        assert system_dimension(sys, trials=3, seed=1) == 3
+        sites = [Site(regular(2))] * 4
+        assert ambient_sections(4) - hilbert_function_of(
+            sites, 4, trials=3, seed=1, p=P) == 3
 
 
 class TestExtraSites:
     def test_extra_sites_stack_onto_base(self):
-        sys = SystemDescriptor(2, (Site(regular(1)),), P)
-        base_dim = system_dimension(sys, trials=2, seed=3)
-        assert base_dim == 5
+        base = [Site(regular(1))]
+        assert ambient_sections(2) - hilbert_function_of(
+            base, 2, trials=2, seed=3, p=P) == 5
         extra = [Site(regular(1)), Site(regular(1))]
-        assert system_dimension(sys, extra, trials=2, seed=3) == 3
+        assert ambient_sections(2) - hilbert_function_of(
+            base + extra, 2, trials=2, seed=3, p=P) == 3
 
 
 class TestHilbertFunctionOf:
@@ -431,10 +443,19 @@ class TestNagataOracle:
         ({"prime": 91}, PrimeTooSmall, "not prime"),
         # a strong pseudoprime to every base up to 37
         ({"prime": 318665857834031151167461}, PrimeTooSmall, "not prime"),
+        # a cross-check at the same prime read cross_check_agrees=True
+        ({"prime": P, "prime2": P}, ValueError, "^prime2 must differ"),
     ])
     def test_invalid_tables_raise(self, kwargs, error, match):
         with pytest.raises(error, match=match):
             verify_nagata_theorem(2, 2, **kwargs)
+
+    def test_same_prime_refused_before_the_budget(self, monkeypatch):
+        # (20, 5) is far beyond the desk budget: the refusal comes first,
+        # and no trial is eliminated
+        monkeypatch.setattr(interp, "_rank_profiles", None)
+        with pytest.raises(ValueError, match="^prime2 must differ"):
+            verify_nagata_theorem(20, 5, prime=P, prime2=P)
 
     @pytest.mark.parametrize("k,m,prime", [(3, 2, 2), (4, 1, 3)])
     def test_more_sites_than_points_refused_before_drawing(self, k, m,

@@ -257,7 +257,12 @@ class TestSerialization:
         E = make_staircase([3, 2])
         data = E.to_json()
         assert data == {"dim": 2, "heights": [[0, 3], [1, 2]]}
-        assert Staircase.from_json(json.dumps(data)) == E
+        assert Staircase.from_json(json.loads(json.dumps(data))) == E
+
+    def test_json_takes_parsed_data_not_text(self):
+        text = json.dumps(make_staircase([3, 2]).to_json())
+        with pytest.raises(ValueError, match="staircase must be an object"):
+            Staircase.from_json(text)
 
     def test_json_rejects_non_monotone(self):
         with pytest.raises(MonotonicityViolation):

@@ -1,8 +1,8 @@
 """The runtime is pure stdlib: every module of the package imports only
 the standard library and the package itself.  The F_p(t) kernel and its
 polynomial helpers are a test reference kept in linalg.py; no other
-module of the package names them.  Importing the package loads neither
-dataclasses nor inspect."""
+module of the package names them.  Importing the package loads none of
+dataclasses, inspect and json."""
 
 import ast
 import subprocess
@@ -42,7 +42,9 @@ def test_runtime_imports_only_stdlib():
 # generates every class's methods with exec: together about three
 # quarters of the package's import time.  The value classes derive from
 # staircase._Value instead.  bench/ and the tests may use dataclasses.
-SLOW_MODULES = ("dataclasses", "inspect")
+# json costs about a third of the rest: only cli.py reads JSON text, and
+# the package's __init__ does not import cli.
+SLOW_MODULES = ("dataclasses", "inspect", "json")
 
 
 def test_runtime_never_imports_dataclasses():

@@ -1,4 +1,4 @@
-"""Value classes.  The twelve record classes keep the behaviour of the
+"""Value classes.  The eleven record classes keep the behaviour of the
 dataclasses they replaced: construction by field name with the same
 defaults, field-wise equality and hash, the dataclass repr and refused
 assignment; Finding holds a dict, and it and the three mutable records
@@ -16,7 +16,7 @@ from limitseries.enriques import EnriquesDiagram
 from limitseries.horace import (Finding, LineSystemModel, OracleScene,
                                 ResidualCertificate, SpecializationPlan,
                                 _Placed)
-from limitseries.interp import NagataReport, Site, SystemDescriptor
+from limitseries.interp import NagataReport, Site
 from limitseries.linalg import DEFAULT_PRIME
 from limitseries.localring import Element, FamilyIdeal, RingContext
 from limitseries.staircase import StaircaseTuple, regular
@@ -39,8 +39,6 @@ FROZEN = {
                                        prime=101, seed=7),
     "Site": lambda: Site(shape=regular(1), position=(1, 2),
                          frame=((1, 0), (0, 1))),
-    "SystemDescriptor": lambda: SystemDescriptor(
-        degree=4, base_sites=(Site(regular(1)),), prime=101),
     "RingContext": lambda: RingContext(dim=2, prime=101, t_trunc=3, x_cap=4),
     "FamilyIdeal": lambda: FamilyIdeal(ctx=CTX, generators=(Element.one(CTX),),
                                        provenance="given"),
@@ -77,9 +75,6 @@ REPRS = {
                    "prime=101, seed=7)",
     "Site": "Site(shape=Staircase(d=2, heights=[1]), position=(1, 2), "
             "frame=((1, 0), (0, 1)))",
-    "SystemDescriptor": "SystemDescriptor(degree=4, base_sites=(Site("
-                        "shape=Staircase(d=2, heights=[1]), position=None, "
-                        "frame=None),), prime=101)",
     "RingContext": "RingContext(dim=2, prime=101, t_trunc=3, x_cap=4)",
     "FamilyIdeal": "FamilyIdeal(ctx=RingContext(dim=2, prime=101, "
                    "t_trunc=3, x_cap=4), generators=(1,), provenance='given')",
@@ -111,7 +106,6 @@ def test_defaults():
     assert EnriquesDiagram([()]).multiplicities is None
     assert FamilyIdeal(CTX, ()).provenance == "derived"
     assert Site(regular(1)) == Site(regular(1), None, None)
-    assert SystemDescriptor(2) == SystemDescriptor(2, (), DEFAULT_PRIME)
     one, two = (Finding("NoLevels", "info", "none") for _ in range(2))
     assert one.data == two.data == {} and one.data is not two.data
     one, two = (NagataReport(2, 1, 3, 1, 0, 101, None) for _ in range(2))

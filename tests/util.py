@@ -736,7 +736,7 @@ def plain_special_fiber(obj) -> MonomialSpace:
                 rows.append({(j, 0): c for j, c in enumerate(vec) if c})
         cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords,
                                     encode_rows(rows, 1))
-    return MonomialSpace.from_columns(ctx, cols)
+    return MonomialSpace(ctx, columns=cols)
 
 
 def plain_closed_form(E: Staircase, v, ns, ctx: RingContext):
