@@ -352,6 +352,15 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
     + Z_i) with dim_next = dim L_(e-1)(base_i), each the least over trials;
     base_r is the scene with r copies of D split off.
 
+    trials bounds the number of trials drawn: they stop once every level
+    reads (f_i, f_i), f_i = max(0, ambient_sections(d - i) - deg base_i),
+    since no later trial can go lower.  For every placement dim_with_z >=
+    dim_next, because multiplying by x embeds L_(e-1)(base_i) in
+    L_e(base_(i-1) + Z_i) (below, their difference is e + 1 minus the rank
+    of a matrix with e + 1 columns), and dim_next >= f_i, because base_i
+    imposes at most deg base_i conditions.  So the least dimensions, and
+    the verdicts, are those of all trials.
+
     One elimination per trial gives every level.  At a point of D,
     ord(x^i g) = i + ord(g), and x is a unit at the ambient points, so g
     lies in L_(d-i)(base_i) exactly when x^i g lies in L_d(base_0).  The
@@ -388,11 +397,20 @@ def hypothesis_check(plan: SpecializationPlan, model: LineSystemModel,
         raise ValueError("oracle mode needs a scene")
     _require_desk_scale(plan, model, scene)
     placements = _placements(plan, scene, seed, "hypothesis")
+    floors = []
+    for i in range(1, plan.r + 1):
+        conditions = (sum(fat_point_degree(M - i)
+                          for M in scene.divisor_base if M > i)
+                      + sum(fat_point_degree(M) for M in scene.ambient_base))
+        f = max(0, ambient_sections(model.degree - i) - conditions)
+        floors.append((f, f))
     least = None
     for _ in range(trials):
         dims = _level_dims(plan, next(placements), model.degree, scene.prime)
         least = dims if least is None else [
             (min(a, a2), min(b, b2)) for (a, b), (a2, b2) in zip(least, dims)]
+        if least == floors:
+            break
     for i, (a, b) in enumerate(least, 1):
         verdicts.append({"level": i, "mode": mode, "ok": a == b,
                          "dim_with_z": a, "dim_next": b})

@@ -294,15 +294,17 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
     k, m = _integer(k, "k", 1), _integer(m, "m", 1)
     trials = _integer(trials, "trials", 1)
     d_max = k * m + k if d_max is None else _integer(d_max, "d_max", 0)
-    if prime2 == prime:
-        raise ValueError("prime2 must differ from prime")
+    primes = [require_prime(prime)]
+    if prime2 is not None:
+        if prime2 == prime:
+            raise ValueError("prime2 must differ from prime")
+        primes.append(require_prime(prime2))
     deg_z = k * k * fat_point_degree(m)
     require_desk_scale(deg_z, ambient_sections(d_max), force)
     report = NagataReport(k, m, d_max, trials, seed, prime, prime2)
     sites = [Site(regular(m))] * (k * k)
     tables = []
-    for p in [prime] + ([prime2] if prime2 else []):
-        require_prime(p)
+    for p in primes:
         profiles = _rank_profiles(sites, d_max, trials, seed, p)
         table = []
         for d in range(d_max + 1):
@@ -314,7 +316,7 @@ def verify_nagata_theorem(k: int, m: int, d_max: int | None = None,
         tables.append(table)
     report.rows = tables[0]
     report.passed = all(row["match"] for row in tables[0])
-    if prime2:
+    if prime2 is not None:
         report.cross_check_agrees = (
             [r["oracle"] for r in tables[0]] == [r["oracle"] for r in tables[1]])
         report.passed = report.passed and report.cross_check_agrees \

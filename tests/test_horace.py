@@ -433,6 +433,71 @@ class TestHypothesisCheckAgreesWithPlain:
         assert any(not v["ok"] for v in flat)
         assert any(v["ok"] and v["dim_next"] > 0 for v in flat)
 
+    def test_small_prime_later_trial_lowers_the_first(self):
+        # plan 17 of bench/limit_plans.json at p = 17: the first trial reads
+        # 7/7, above the floor 6, and the second lowers both to it
+        item = (simple_plan([make_staircase([3, 3])], (3,), (3,)),
+                LineSystemModel(5, ()),
+                OracleScene(divisor_base=(3, 1), ambient_base=(2, 2),
+                            prime=17, seed=199601357), 0)
+        for trials, dims in [(1, 7), (2, 6)]:
+            verdicts = self.agree(*item, trials=trials)
+            assert [(v["dim_with_z"], v["dim_next"]) for v in verdicts] \
+                == [(dims, dims)]
+
+
+class TestHypothesisCheckTrials:
+    """The oracle hypothesis check draws no trial after every level reads
+    (f_i, f_i), f_i = max(0, ambient_sections(d - i) - deg base_i): no later
+    trial can go below it."""
+
+    # the bench plans whose divisor multiplicities sum past d + 1, so the
+    # line is a fixed component and the floors are never met
+    MISSED = (10, 22, 26)
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        level_dims = horace._level_dims
+
+        def counting(*args):
+            calls.append(args)
+            return level_dims(*args)
+
+        monkeypatch.setattr(horace, "_level_dims", counting)
+        return calls
+
+    @pytest.mark.parametrize("trials", [2, 5])
+    def test_bench_plans_stop_at_the_floors(self, monkeypatch, trials):
+        calls = self.counted(monkeypatch)
+        for idx, (plan, model, scene, seed) in enumerate(bench_limit_items(1)):
+            calls.clear()
+            hypothesis_check(plan, model, "oracle", scene, trials, seed)
+            want = trials if idx in self.MISSED else 1
+            assert len(calls) == want, f"limit/{idx:02d}"
+
+    def test_overfull_base_stops_at_floor_zero(self, monkeypatch):
+        # base_i imposes more conditions than degree d - i has sections at
+        # both levels (6 > 3 and 4 > 1): the floors are 0, not negative
+        calls = self.counted(monkeypatch)
+        plan = simple_plan([regular(2)], (1,), (2, 1))
+        scene = OracleScene(divisor_base=(3,), ambient_base=(2,), prime=P,
+                            seed=5)
+        verdicts = hypothesis_check(plan, LineSystemModel(2, ()), "oracle",
+                                    scene, 3)
+        assert [(v["dim_with_z"], v["dim_next"]) for v in verdicts] \
+            == [(0, 0), (0, 0)]
+        assert len(calls) == 1
+
+    def test_failing_hypothesis_runs_every_trial(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        plan = simple_plan([regular(1)], (1,), (1,))
+        model = LineSystemModel(degree=3, line_base_degrees=(0,))
+        verdicts = hypothesis_check(plan, model, "oracle",
+                                    OracleScene(prime=P, seed=2), 4, 2)
+        assert not verdicts[0]["ok"]
+        assert len(calls) == 4
+
 
 class TestApplyTheorem:
     def test_nagata_k4_m2(self):

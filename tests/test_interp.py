@@ -445,6 +445,9 @@ class TestNagataOracle:
         ({"prime": 318665857834031151167461}, PrimeTooSmall, "not prime"),
         # a cross-check at the same prime read cross_check_agrees=True
         ({"prime": P, "prime2": P}, ValueError, "^prime2 must differ"),
+        # prime2=0 once read as no cross-check, and passed
+        ({"prime2": 0}, PrimeTooSmall, "^0 is not prime"),
+        ({"prime2": 4}, PrimeTooSmall, "^4 is not prime"),
     ])
     def test_invalid_tables_raise(self, kwargs, error, match):
         with pytest.raises(error, match=match):
@@ -456,6 +459,17 @@ class TestNagataOracle:
         monkeypatch.setattr(interp, "_rank_profiles", None)
         with pytest.raises(ValueError, match="^prime2 must differ"):
             verify_nagata_theorem(20, 5, prime=P, prime2=P)
+
+    @pytest.mark.parametrize("k,m", [(5, 2), (20, 5)])
+    @pytest.mark.parametrize("prime2", [0, 4])
+    def test_non_prime_prime2_refused_before_the_budget(self, monkeypatch, k,
+                                                        m, prime2):
+        # both primes are read before the budget check and before the first
+        # table: (5, 2) once eliminated it before refusing prime2=4, and
+        # (20, 5) is far beyond the desk budget
+        monkeypatch.setattr(interp, "_rank_profiles", None)
+        with pytest.raises(PrimeTooSmall, match=f"^{prime2} is not prime"):
+            verify_nagata_theorem(k, m, prime=P, prime2=prime2)
 
     @pytest.mark.parametrize("k,m,prime", [(3, 2, 2), (4, 1, 3)])
     def test_more_sites_than_points_refused_before_drawing(self, k, m,
