@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from math import comb
+from operator import index
 
 from .errors import OracleResourceLimit, PrimeTooSmall
 from .hilbert import ambient_sections, fat_point_degree, virtual_hilbert
@@ -96,14 +97,21 @@ def conditions_matrix(sites, d: int, p: int = DEFAULT_PRIME, cols=None):
     Rows: one per staircase cell over all sites (Taylor coefficient of the
     cell monomial in frame coordinates).  Columns: the (d+1)(d+2)/2 curve
     coefficients in monomials_of_degree_at_most order, or the monomials
-    (i, j) with i + j <= d listed in cols, any other refused.  Entries are
-    exact integers mod p; two sites whose positions agree mod p are refused.
+    (i, j) with i + j <= d listed in cols, any other column refused with
+    a ValueError that names it.  Entries are exact integers mod p; two
+    sites whose positions agree mod p are refused.
     """
     _require_prime_above(p, d)
     if cols is None:
         cols = monomials_of_degree_at_most(d)
     else:
-        for i, j in cols:
+        for col in cols:
+            try:
+                i, j = col
+                i, j = index(i), index(j)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"column {col!r} is not a pair of integers") from None
             if i < 0 or j < 0 or i + j > d:
                 raise ValueError(
                     f"column ({i}, {j}) is not a monomial of degree <= {d}")

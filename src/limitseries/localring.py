@@ -3,8 +3,14 @@
 Everything is tracked up to a total x-degree cap.  Translated monomial
 ideals, the alternating truncate / colon-by-x_1 chains, their closed-form
 generators, special fibers at t=0 and t-adic flat limits all live here.
-Chains are built from ``MonomialSpace.truncate`` and ``colon_x1`` alone,
-and the special fiber at t=0 is the truncation to t^1.
+A chain equals ``MonomialSpace.truncate`` and ``colon_x1`` applied in
+turn, but carries each column as generator rows instead: the image of a
+generating set generates the image, so a truncation filters t-exponents;
+a colon is one Howell step at coordinate 0, whose output generates the
+part that vanishes there, shifted down one coordinate; and the column is
+canonicalised once, at the last level.  The Howell form is unique, so
+the result is the operators' to the byte.  The special fiber at t=0 is
+the truncation to t^1.
 
 All ideals and modules in the chain are graded by the x_2..x_d exponent
 (truncation and colon-by-x_1 both preserve that multidegree), so spans are
@@ -23,13 +29,15 @@ below n: a fixed wider field pushes keys past one machine digit and a
 narrower one cannot hold high levels (chains at n = 70000 run in
 milliseconds).  The floor of 8 bits keeps the keys of every truncation
 between levels below 256; a truncation that narrows the field re-keys its
-rows in from_rows' input filter.  Tuple-keyed {(coord, t_exp): c} data is
-encoded (_encode) where it enters and decoded where it leaves.
-Canonicalisation (TModule.from_rows) sweeps the x_1 coordinates once, in
-ascending order: the row of least valuation at a coordinate is its pivot,
-and the other rows, cancelled against it, and its shadow move on to later
-coordinates; truncation canonicalises again, and the colon by x_1 reads the
-canonical rows directly (the Howell property below).
+rows in from_rows' input filter; a chain keeps the width of its first
+level until that filter.  Tuple-keyed {(coord, t_exp): c} data is encoded
+(_encode) where it enters and decoded where it leaves.  Canonicalisation
+(TModule.from_rows) sweeps the x_1 coordinates once, in ascending order,
+one _howell_step per coordinate: the row of least valuation at a
+coordinate is its pivot, and the other rows, cancelled against it, and
+its shadow move on to later coordinates.  TModule.truncate canonicalises
+again, and TModule.colon reads the canonical rows directly (the Howell
+property below).
 """
 
 from __future__ import annotations
@@ -274,6 +282,44 @@ def _add_mul(row, other, q, n, p, mask):
     return row
 
 
+def _howell_step(bucket, j, n, p, b, mask, buckets):
+    """One Howell step at coordinate j on rows whose lowest coordinate is
+    j: (pivot, its key at j).
+
+    The row of least valuation e at j becomes the pivot, made exactly t^e
+    there.  The other rows have valuation >= e at j, so one cancellation
+    against the pivot clears it (in place); they and the pivot's shadow
+    t^(n-e) * pivot, which vanishes at j too, are appended, when nonzero,
+    to buckets[their new lowest coordinate].  A combination of the pivot
+    and the other rows vanishes at j exactly when the pivot's coefficient
+    lies in t^(n-e) R, so those rows generate the part of the rows' span
+    that vanishes at j.  Keys have a t-field of b bits (mask = 2^b - 1)
+    holding every t-exponent below n, and no entry is 0 mod p."""
+    pivot = chosen = bucket[0] if len(bucket) == 1 else min(bucket, key=min)
+    lo = min(pivot)
+    hi = (j + 1) << b  # every key at j lies in [lo, hi)
+    e = lo - (j << b)
+    # make coordinate j exactly t^e
+    unit = {k - lo: c for k, c in pivot.items() if k < hi}
+    if len(unit) > 1:
+        pivot = _add_mul({}, pivot, _sp_inv(unit, n, p), n, p, mask)
+    elif unit[0] != 1:
+        inv = pow(unit[0], -1, p)
+        pivot = {k: c * inv % p for k, c in pivot.items()}
+    if e:  # t^(n-e) * pivot, nonzero tail of the annihilator multiple
+        up = n - e
+        row = {k + up: c for k, c in pivot.items() if k & mask < e}
+        if row:
+            buckets[min(row) >> b].append(row)
+    for row in bucket:
+        if row is not chosen:
+            _add_mul(row, pivot, {k - lo: -c for k, c in row.items()
+                                  if k < hi}, n, p, mask)
+            if row:
+                buckets[min(row) >> b].append(row)
+    return pivot, lo
+
+
 class TModule:
     """Canonical Howell-form module over F_p[t]/(t^n) in x_1 coordinates.
 
@@ -312,17 +358,14 @@ class TModule:
         """Canonicalize arbitrary generating rows (Howell algorithm): one
         ascending sweep over the coordinates.
 
-        Each row waits in the bucket of its lowest coordinate.  At j the
-        bucket row of least valuation e becomes the pivot, made exactly t^e
-        at j.  The other bucket rows have valuation >= e at j, so one
-        cancellation against the pivot clears it; they and the pivot's
-        shadow t^(n-e) * row, which vanishes at j too, go to the buckets of
-        their new lowest coordinates.  Every row put in a bucket lies above
-        j, so none is seen twice.  The earlier pivot rows' entries at j are
-        then reduced below t^e.  Howell property: a combination of the
-        pivot and the cancelled rows vanishes at j exactly when the pivot's
-        coefficient lies in t^(n-e) R, so it is one of the shadow and those
-        rows; the later buckets span the elements that vanish at 0..j.
+        Each row waits in the bucket of its lowest coordinate.  At j,
+        _howell_step turns the bucket into a pivot, exactly t^e at j, and
+        the rows that generate the part of the bucket's span vanishing at
+        j; those go to the buckets of their new lowest coordinates.  Every
+        row put in a bucket lies above j, so none is seen twice.  The
+        earlier pivot rows' entries at j are then reduced below t^e.
+        Howell property: the later buckets span the elements that vanish
+        at 0..j.
 
         gen_rows are keyed with a t-field of ``width`` bits (default
         _key_width(n)); rows of another width are re-keyed as they are
@@ -351,30 +394,8 @@ class TModule:
         for j, bucket in enumerate(buckets):
             if not bucket:
                 continue
-            # least valuation at j
-            pivot = chosen = (bucket[0] if len(bucket) == 1
-                              else min(bucket, key=min))
-            lo = min(pivot)
+            pivot, lo = _howell_step(bucket, j, n, p, b, mask, buckets)
             hi = (j + 1) << b  # every key at j lies in [lo, hi)
-            e = lo - (j << b)
-            # make coordinate j exactly t^e
-            unit = {k - lo: c for k, c in pivot.items() if k < hi}
-            if len(unit) > 1:
-                pivot = _add_mul({}, pivot, _sp_inv(unit, n, p), n, p, mask)
-            elif unit[0] != 1:
-                inv = pow(unit[0], -1, p)
-                pivot = {k: c * inv % p for k, c in pivot.items()}
-            if e:  # t^(n-e) * pivot, nonzero tail of the annihilator multiple
-                up = n - e
-                row = {k + up: c for k, c in pivot.items() if k & mask < e}
-                if row:
-                    buckets[min(row) >> b].append(row)
-            for row in bucket:
-                if row is not chosen:
-                    _add_mul(row, pivot, {k - lo: -c for k, c in row.items()
-                                          if k < hi}, n, p, mask)
-                    if row:
-                        buckets[min(row) >> b].append(row)
             for row in rows:  # earlier pivots: entries at j below t^e
                 # a plain probe first: few rows hold anything at j
                 for k in row:
@@ -385,7 +406,7 @@ class TModule:
                         break
             rows.append(pivot)
             pivots.append(j)
-            vals.append(e)
+            vals.append(lo - (j << b))
         return cls(p, n, ncoords, rows, pivots, vals)
 
     @staticmethod
@@ -520,8 +541,9 @@ class MonomialSpace:
     A plain space (the result of ``flat_limit`` and ``from_elements``) is
     read-only: it answers dimension, membership, basis and equality, and
     ``truncate``, ``colon_x1`` and ``special_fiber`` raise TypeError on it.
-    A chain is ``truncate(n_1)``, ``colon_x1()``, ``truncate(n_2)``, ...
-    on a graded space, and its special fiber is ``truncate(1)``.
+    A chain equals ``truncate(n_1)``, ``colon_x1()``, ``truncate(n_2)``,
+    ... on a graded space (``residual_chain`` gets it without them), and
+    its special fiber is ``truncate(1)``.
 
     The x-cap rule: a graded space tracks the monomials of total x-degree
     at most ``ctx.x_cap`` (a colon lowers it by one): a column for each w
@@ -697,10 +719,15 @@ def _graded_space(ctx, bases_of):
 
 
 def _shifted_column(p, n, ncoords, bases):
-    """Column module spanned by x_1^s * base for every (base, xdeg) and every
-    shift s that keeps the x_1-degree xdeg + s below ncoords.  Bases are
-    {(x_1 exponent, t exponent): coeff} dicts, encoded once each; rows keep
-    the order given."""
+    """Column module spanned by _shifted_rows(n, ncoords, bases)."""
+    return TModule.from_rows(p, n, ncoords, _shifted_rows(n, ncoords, bases))
+
+
+def _shifted_rows(n, ncoords, bases):
+    """x_1^s * base for every (base, xdeg) and every shift s that keeps the
+    x_1-degree xdeg + s below ncoords, keyed for t^n.  Bases are {(x_1
+    exponent, t exponent): coeff} dicts, encoded once each; rows keep the
+    order given."""
     b = _key_width(n)
     rows = []
     for base, xdeg in bases:
@@ -708,7 +735,7 @@ def _shifted_column(p, n, ncoords, bases):
         for s in range(ncoords - xdeg):
             s <<= b
             rows.append({k + s: c for k, c in base.items()})
-    return TModule.from_rows(p, n, ncoords, rows)
+    return rows
 
 
 def _exponents_upto(arity, total):
@@ -804,6 +831,14 @@ def boundary_columns(E: Staircase, v: int, ns):
 
 
 def _chain_columns(E, v, ns, ctx, final_colon):
+    """The chain of E at levels ns, with a colon after every level but the
+    last and after the last too when final_colon, in the context
+    _chain_entry checks; it warns (BoundaryWarning) of levels n = v * h.
+
+    Every colon lowers the x-cap and each column's coordinates by one and
+    drops the columns it leaves with none.  A column of height zero holds
+    the whole module at every level and stays the shared full module; a
+    column of height h is _chain_column's one canonicalisation."""
     v, ns, ctx = _chain_entry(E, v, ns, ctx)
     if not ns:
         raise InvalidSequence("a chain needs at least one level")
@@ -815,25 +850,70 @@ def _chain_columns(E, v, ns, ctx, final_colon):
             f"v*h at columns {sorted({w for w, _h, _n in hits})}",
             BoundaryWarning, stacklevel=3)
 
-    n1, heights = ns[0], E.heights
-    space = _graded_space(ctx.with_t(n1), lambda w: [
-        (_translated_power(heights[w], v, n1), heights[w])]
-        if w in heights else None)
+    colons = k if final_colon else k - 1
+    p, cap = ctx.prime, ctx.x_cap
+    columns = {}
+    for w in _exponents_upto(ctx.dim - 1, cap):
+        ncoords = cap - sum(w) + 1
+        if ncoords <= colons:
+            continue  # a colon drops a column of one coordinate
+        h = E.heights.get(w)
+        columns[w] = (TModule.full(p, ns[-1], ncoords - colons) if h is None
+                      else _chain_column(p, v, h, ns, ncoords, colons))
+    return MonomialSpace(ctx.with_t(ns[-1]).with_cap(cap - colons),
+                         columns=columns)
+
+
+def _chain_column(p, v, h, ns, ncoords, colons):
+    """The column of height h and ncoords coordinates after the levels ns,
+    with a colon after each of the first ``colons`` levels.
+
+    Its rows are generators keyed for t^{n_1} throughout: at first
+    x_1^s (x_1 - t^v)^h, none when ncoords <= h.  A truncation to t^n
+    keeps each row's entries below t^n, since the images of generators
+    generate the image.  A colon takes one Howell step at coordinate 0 on
+    the rows that reach it; the other rows, the cancelled ones and the
+    pivot's shadow generate the part that vanishes there, and they move
+    down one coordinate.  One TModule.from_rows at t^{n_k} gives the
+    canonical form, the same as canonicalising at every level."""
+    n = ns[0]
+    b = _key_width(n)
+    mask = (1 << b) - 1
+    one = 1 << b  # coordinate 1 at t^0
+    # the Howell step reads valuations off the keys: no entry 0 mod p
+    base = {k: c % p for k, c in _translated_power(h, v, n).items() if c % p}
+    rows = _shifted_rows(n, ncoords, [(base, h)])
     for idx, n in enumerate(ns):
-        space = space.truncate(n)
-        if idx < k - 1 or final_colon:
-            space = space.colon_x1()
-    return space
+        if idx:  # the images of generators generate the image
+            rows = [r for r in ({k: c for k, c in row.items() if k & mask < n}
+                                for row in rows) if r]
+        if idx < colons:
+            # the part vanishing at coordinate 0, one coordinate down
+            at0 = [r for r in rows if min(r) < one]
+            rest = [r for r in rows if min(r) >= one]
+            if at0:  # every coordinate's bucket is rest
+                _howell_step(at0, 0, n, p, b, mask, [rest] * ncoords)
+            rows = [{k - one: c for k, c in r.items()} for r in rest]
+            ncoords -= 1
+    return TModule.from_rows(p, ns[-1], ncoords, rows, b)
 
 
 def restriction_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """J_{n_1:...:n_k}: alternating truncations and colons, ending on a
-    truncation (k restrictions, k-1 colons)."""
+    truncation (k restrictions, k-1 colons); see residual_chain."""
     return _chain_columns(E, v, ns, ctx, final_colon=False)
 
 
 def residual_chain(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
-    """J_{n_1:...:n_k:}: same chain with the final colon applied."""
+    """J_{n_1:...:n_k:}: the span of J(E, v) at t^{n_1}, then truncation to
+    t^{n_i} and the colon by x_1 at each level in turn, the last colon
+    included.
+
+    The result equals MonomialSpace.truncate and colon_x1 in turn, column
+    for column, but each column is carried as generators and
+    canonicalised once, at t^{n_k} (_chain_column).  ctx None builds
+    chain_context(E, v, ns); the result's context is at t^{n_k} with the
+    x-cap lowered by one per colon."""
     return _chain_columns(E, v, ns, ctx, final_colon=True)
 
 

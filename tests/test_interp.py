@@ -46,7 +46,19 @@ class TestConditionsMatrix:
         (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
                                    cols=[(2, 0)]),
          r"^column \(2, 0\) is not a monomial of degree <= 1$"),
-    ], ids=["3-D shape", "unplaced", "negative column", "column above d"])
+        # (0.0, 1) raised a bare TypeError, (0, 1, 2) an unpacking error
+        # that did not name it, and 5 a TypeError
+        (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
+                                   cols=[(0, 0), (0.0, 1)]),
+         r"^column \(0\.0, 1\) is not a pair of integers$"),
+        (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
+                                   cols=[(0, 1, 2)]),
+         r"^column \(0, 1, 2\) is not a pair of integers$"),
+        (lambda: conditions_matrix([Site(regular(1), (1, 2))], 1, P,
+                                   cols=[5]),
+         r"^column 5 is not a pair of integers$"),
+    ], ids=["3-D shape", "unplaced", "negative column", "column above d",
+            "float column", "triple column", "integer column"])
     def test_refusals(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitseries import horace
+from limitseries import horace, localring
 from limitseries.errors import (BoundaryWarning, CapExceeded, CapExhausted,
                                 DivisionWitnessFailure, InvalidSequence,
                                 InvalidTruncation, PrimeTooSmall)
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
                                 padd, pmul, pnorm, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _key_width,
+                                   RingContext, TModule, _chain_column,
+                                   _key_width, _shifted_column,
                                    _translated_power,
                                    boundary_columns,
                                    chain_context, closed_form_residual,
@@ -29,9 +30,10 @@ from util import (bench_pyramid_chains, bench_workloads, canonical,
                   chain_corpus, decode_rows, encode_rows,
                   howell_bucket_corpus, howell_corpus,
                   monomial_span, plain_closed_form, plain_flat_limit,
-                  plain_from_rows, plain_rref_mod_p, plain_special_fiber,
-                  random_staircase, staircases_up_to, torus_corpus,
-                  torus_flat_limit, torus_scene)
+                  plain_from_rows, plain_residual_chain, plain_rref_mod_p,
+                  plain_special_fiber, random_levels, random_staircase,
+                  staircases_up_to, torus_corpus, torus_flat_limit,
+                  torus_scene)
 
 P = 10007
 
@@ -977,7 +979,8 @@ class TestHowellAgreesWithPlain:
         assert max(c[2] for c in corpus) == 12
 
     def test_bench_chain_inputs(self, monkeypatch):
-        """Every distinct from_rows input of the chains workload at seed 1."""
+        """Every distinct from_rows input of the chains workload at seeds 1
+        and 2."""
         fast = TModule.from_rows.__func__
         calls = {}
 
@@ -994,8 +997,9 @@ class TestHowellAgreesWithPlain:
 
         monkeypatch.setattr(TModule, "from_rows", classmethod(recording))
         chains = bench_workloads().Chains()
-        for item in chains.generate(1):
-            assert chains.run(item)[0]
+        for seed in (1, 2):
+            for item in chains.generate(seed):
+                assert chains.run(item)[0]
         monkeypatch.undo()
         assert len(calls) > 1500
         for call in calls.values():
@@ -1197,3 +1201,152 @@ class TestSharedFullModule:
             k = mod.ncoords
             assert TModule.full(p, n, k).rows == [{j << b: 1} for j in range(k)]
             assert mod.colon() is TModule.full(p, n, k - 1)
+
+
+def chain_layout(space):
+    """A graded space's context and, column by column in order, its
+    truncation, coordinates, decoded rows, pivots and vals."""
+    return space.ctx, [(w, m.n, m.ncoords, decode_rows(m), m.pivots, m.vals)
+                       for w, m in space.columns.items()]
+
+
+def pyramid_chains():
+    """The 3-D pyramids a + b + c < m, 2 <= m <= 6, at speeds 1-3 with
+    seeded levels of depth 1-3."""
+    rng = random.Random(31)
+    out = []
+    for m in range(2, 7):
+        E = make_staircase({(b, c): m - b - c
+                            for b in range(m) for c in range(m - b)})
+        for v in (1, 2, 3):
+            ns = random_levels(rng, E, v, rng.choice((1, 2, 3)))
+            if ns is not None:
+                out.append((E, v, ns))
+    return out
+
+
+class TestChainAgreesWithPlain:
+    """residual_chain and restriction_chain carry each column as generator
+    rows keyed for t^{n_1} (truncations filter them, a colon is one Howell
+    step at coordinate 0) and canonicalise once at t^{n_k}.  The Howell
+    form is unique, so they must give exactly what the composition of the
+    public operators gives, which canonicalises after every truncation."""
+
+    @staticmethod
+    def same(E, v, ns, ctx=None):
+        for final_colon, chain in ((True, residual_chain),
+                                   (False, restriction_chain)):
+            assert chain_layout(chain(E, v, ns, ctx)) == chain_layout(
+                plain_residual_chain(E, v, ns, ctx, final_colon))
+
+    def test_bench_chain_inputs(self):
+        chains = bench_workloads().Chains()
+        for seed in (1, 2, 3):
+            for item in chains.generate(seed):
+                self.same(*item.args)
+
+    def test_acceptance_corpus(self):
+        for E, v, ns in chain_corpus(20260810, 200):
+            self.same(E, v, ns)
+
+    def test_pyramids(self):
+        corpus = pyramid_chains()
+        assert len(corpus) == 15
+        for E, v, ns in corpus:
+            self.same(E, v, ns)
+
+    def test_key_field_narrows_after_the_first_level(self):
+        """n_1 = 257 keys rows with a 9-bit t-field; every later level
+        fits in 8 bits, so the one canonicalisation re-keys them."""
+        cases = [(make_staircase([2]), 140, [257, 35, 1]),
+                 (make_staircase([2, 1]), 100, [257, 150, 3]),
+                 (make_staircase([3, 1]), 90, [257, 255]),
+                 (make_staircase([3, 2, 1]), 70, [257, 255, 200])]
+        for E, v, ns in cases:
+            assert _key_width(ns[0]) == 9 and _key_width(ns[1]) == 8
+            assert not boundary_columns(E, v, ns)
+            self.same(E, v, ns)
+
+    def test_levels_off_the_gap_rule(self, monkeypatch):
+        """Levels closer than v apart keep the shadow of one colon alive to
+        the next, so a colon's rows at coordinate 0 are several and the
+        least valuation is not always on the first of them."""
+        step = localring._howell_step
+        off_first = []
+
+        def recording(bucket, j, n, p, b, mask, buckets):
+            if len(buckets) > 1 and buckets[0] is buckets[1]:  # a colon
+                off_first.append(min(bucket[0]) > min(map(min, bucket)))
+            return step(bucket, j, n, p, b, mask, buckets)
+
+        monkeypatch.setattr(localring, "_howell_step", recording)
+        rng = random.Random(37)
+        corpus = []
+        while len(corpus) < 60:
+            E, v = random_staircase(rng), rng.choice((2, 3))
+            ns = [rng.randint(3, v * E.max_height + v)]
+            while len(ns) < 3 and ns[-1] > 1:
+                ns.append(max(1, ns[-1] - rng.randint(1, v - 1)))
+            if len(ns) > 1 and not boundary_columns(E, v, ns):
+                corpus.append((E, v, ns))
+        for E, v, ns in corpus:
+            self.same(E, v, ns)
+        assert sum(off_first) >= 10
+
+    def test_given_context_without_truncation(self):
+        """p = 101, t_trunc=None and two more x-degrees than needed."""
+        for E, v, ns in chain_corpus(seed=27, count=30) + pyramid_chains()[:4]:
+            cap = chain_context(E, v, ns).x_cap + 2
+            self.same(E, v, ns, RingContext(E.dim, 101, None, cap))
+
+    def test_column_with_no_shifted_row(self):
+        """ncoords <= h leaves no room for x_1^s (x_1 - t^v)^h: the column
+        starts as the zero module.  _chain_column against truncate and
+        colon of the canonical column, for every number of colons."""
+        p, v, h, ns = 101, 1, 3, [5, 3, 1]
+        for ncoords in range(1, h + 3):
+            for colons in range(min(ncoords, len(ns) + 1)):
+                got = _chain_column(p, v, h, ns, ncoords, colons)
+                ref = _shifted_column(p, ns[0], ncoords, [
+                    (_translated_power(h, v, ns[0]), h)])
+                for idx, n in enumerate(ns):
+                    ref = ref.truncate(n)
+                    if idx < colons:
+                        ref = ref.colon()
+                assert (got.n, got.ncoords, decode_rows(got), got.pivots,
+                        got.vals) == (ref.n, ref.ncoords, decode_rows(ref),
+                                      ref.pivots, ref.vals)
+                if ncoords <= h:
+                    assert not got.rows
+
+
+class TestChainWorkCount:
+    """A chain canonicalises each column of positive height once, at
+    t^{n_k}, and never truncates a canonical module: counted through
+    monkeypatched TModule.from_rows, truncate and colon."""
+
+    def test_one_canonicalisation_per_column(self, monkeypatch):
+        fast = TModule.from_rows.__func__
+        levels = []
+
+        def counting(cls, p, n, ncoords, gen_rows, width=None):
+            levels.append(n)
+            return fast(cls, p, n, ncoords, gen_rows, width)
+
+        def refused(*args):
+            raise AssertionError("a chain called a TModule operator")
+
+        monkeypatch.setattr(TModule, "from_rows", classmethod(counting))
+        monkeypatch.setattr(TModule, "truncate", refused)
+        monkeypatch.setattr(TModule, "colon", refused)
+        corpus = chain_corpus(seed=29, count=40) + pyramid_chains() + [
+            (make_staircase([2, 1]), 1, [2])]  # a boundary level: 2 = v * h
+        for E, v, ns in corpus:
+            ctx = chain_context(E, v, ns)
+            for chain in (residual_chain, restriction_chain):
+                levels.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", BoundaryWarning)
+                    space = chain(E, v, ns, ctx)
+                surviving = [w for w in space.columns if w in E.heights]
+                assert surviving and levels == [ns[-1]] * len(surviving)

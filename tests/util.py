@@ -14,8 +14,10 @@ from limitseries.interp import (Site, _materialize, conditions_matrix,
 from limitseries.linalg import (_BYTE_ROUTE_BITS, _slot_width,
                                 kernel_mod_p, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _encode, _order_key,
-                                   _sp_inv, _sparse_rref, flat_limit)
+                                   RingContext, TModule, _chain_entry,
+                                   _encode, _graded_space, _order_key,
+                                   _sp_inv, _sparse_rref, _translated_power,
+                                   flat_limit)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
 
@@ -737,6 +739,25 @@ def plain_special_fiber(obj) -> MonomialSpace:
         cols[w] = TModule.from_rows(ctx.prime, 1, m.ncoords,
                                     encode_rows(rows, 1))
     return MonomialSpace(ctx, columns=cols)
+
+
+def plain_residual_chain(E: Staircase, v, ns, ctx, final_colon):
+    """The chain as a composition of the public operators: the canonical
+    span of x_1^s (x_1 - t^v)^h(w) in every column w at t^{n_1}, then
+    MonomialSpace.truncate(n) for each level, each followed by colon_x1
+    but the last, which is followed by one only when final_colon.  Every
+    step canonicalises again: the reference the generator-carrying chain
+    must match."""
+    v, ns, ctx = _chain_entry(E, v, ns, ctx)
+    n1, heights = ns[0], E.heights
+    space = _graded_space(ctx.with_t(n1), lambda w: [
+        (_translated_power(heights[w], v, n1), heights[w])]
+        if w in heights else None)
+    for idx, n in enumerate(ns):
+        space = space.truncate(n)
+        if idx < len(ns) - 1 or final_colon:
+            space = space.colon_x1()
+    return space
 
 
 def plain_closed_form(E: Staircase, v, ns, ctx: RingContext):
