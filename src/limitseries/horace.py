@@ -24,8 +24,7 @@ from .hilbert import (ambient_sections, bookkeeping_identity, critical_degree,
 from .interp import (Site, conditions_matrix, require_desk_scale,
                      verify_nagata_theorem)
 from .linalg import (DEFAULT_PRIME, _pack, _slot_width, echelon_mod_p,
-                     kernel_mod_p, rank_mod_p, reduced_kernel, require_prime,
-                     rref_mod_p)
+                     rank_mod_p, reduced_kernel, require_prime, rref_mod_p)
 from .localring import RingContext, flat_limit
 from .staircase import (Staircase, StaircaseTuple, _integer, _integers,
                         _Record, _Value, regular, suppress_tuple)
@@ -242,9 +241,8 @@ def _require_desk_scale(plan, model, scene):
     fat-point cells plus the shapes' cells as rows and at most the sections
     of the model degree as columns.  The limit check eliminates the base
     rows once and flat-limits only the sliding rows, on the free columns
-    of the base rows; its kernel bases (the target's, and the limit's on
-    those free columns) hold up to one vector per column, so rows count
-    at least columns."""
+    of the base rows; ker B, the only kernel basis it builds, holds up to
+    one vector per column, so rows count at least columns."""
     cells = sum(fat_point_degree(M)
                 for M in scene.divisor_base + scene.ambient_base)
     ncols = ambient_sections(model.degree)
@@ -287,13 +285,15 @@ def _base_sites(placed, r):
     return [Site(shape[M], pt) for M, pt in points]
 
 
+def _residual_sites(placed, residual):
+    """The nonempty residual shapes at their sliding points on D."""
+    return [Site(E, (0, y)) for E, y in zip(residual, placed.sliding_ys)
+            if not E.is_empty]
+
+
 def _residual_system_sites(placed, r, residual):
     """Sites cutting out L(-rD - residual) on the quotient by x^r."""
-    sites = _base_sites(placed, r)
-    for E, y in zip(residual, placed.sliding_ys):
-        if not E.is_empty:
-            sites.append(Site(E, (0, y)))
-    return sites
+    return _base_sites(placed, r) + _residual_sites(placed, residual)
 
 
 def _x_block_columns(d):
@@ -530,15 +530,15 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     image of a column is that column of K.  The t^e layer of a sliding row
     is its x^i block, e = v(i - a), so one packed product per layer
     projects it.  Only these rows go through flat_limit; the limit system
-    is the kernel of its limit rows, in free coordinates.  The target lies
-    in K as well, for any r and residual: at a divisor point of
-    multiplicity M, g vanishes to order M - r and x^r g to order M, and x
-    is a unit at the ambient points.  In x-block order x^r is a prefix: it
-    carries the degree-(d - r) columns, in order, onto the first
-    ambient_sections(d - r) degree-d ones, so the target is built in that
-    order and read at the free columns by index.  Containment is one rank
-    on free coordinates, and the moving system has dimension len(free)
-    minus the rank of pi S(t) over F_p(t).
+    is the kernel of its limit rows L, in free coordinates.  The target
+    x^r L_(d-r)(base_r + residual) is cut out of K by rows there, for any
+    r and residual: at a divisor point ord(x^r h) = r + ord(h), and x is a
+    unit at the ambient points, so the multiples of x^r in K are exactly
+    x^r L_(d-r)(base_r).  In x-block order they fill the first n =
+    ambient_sections(d - r) places, h's columns in order.  So the rows are
+    K's columns past n, and the residual's conditions on h times K's first
+    n columns.  Containment is rank(L + rows) = len(L), and the moving
+    system has dimension len(free) minus the rank of pi S(t) over F_p(t).
 
     Returns (contained, details).  residual_override and r_override
     substitute a corrupted residual claim (negative controls: one extra
@@ -565,12 +565,13 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
     free = sorted(set(range(len(cols))) - set(pivots))
     free_mons = [cols[col] for col in free]
     # the image of each column mod rowspace(B), packed over the free slots;
-    # a slot of a layer sums at most d + 1 products, one per column of the
-    # layer's block, which holds places lo..hi-1
+    # a slot sums at most len(cols) products: one per column of a layer's
+    # block, which holds places lo..hi-1, or of the target's first n places
     w = _slot_width(len(cols), p)
     mask = (1 << w) - 1
     kernel = reduced_kernel(rref, pivots, len(cols), p)
-    image = [_pack(column, w, p) for column in zip(*kernel)]
+    columns = list(zip(*kernel))
+    image = [_pack(column, w, p) for column in columns]
 
     # sliding rows of pi S(t) as {(free monomial, t-exponent): c}
     rows = []
@@ -591,27 +592,26 @@ def limit_inclusion_check(plan: SpecializationPlan, model: LineSystemModel,
             rows.append(vec)
     ctx = RingContext(dim=2, prime=p, x_cap=max(d, 1))
     row_limit = flat_limit(rows, ctx)
-    # the limit rows come in reduced echelon form: read the kernel off them
-    index = {(mon, 0): j for j, mon in enumerate(free_mons)}
-    limit = reduced_kernel([[row.get((mon, 0), 0) for mon in free_mons]
-                            for row in row_limit.rows.values()],
-                           [index[key] for key in row_limit.rows],
-                           len(free), p)
+    limit = [[row.get((mon, 0), 0) for mon in free_mons]
+             for row in row_limit.rows.values()]
 
     r = plan.r if r_override is None else r_override
     residual = residual_override if residual_override is not None \
         else plan.residual_tuple()
-    target_sites = _residual_system_sites(placed, r, residual)
-    gcols = _x_block_columns(d - r)
-    grows = conditions_matrix(target_sites, d - r, p, gcols)
-    target = [[vec[col] if col < len(gcols) else 0 for col in free]
-              for vec in kernel_mod_p(grows, len(gcols), p)]
+    # the target's rows: g vanishes past n, and g / x^r meets the residual
+    n = ambient_sections(d - r)
+    target = columns[n:]
+    for row in conditions_matrix(_residual_sites(placed, residual), d - r,
+                                 p, _x_block_columns(d - r)):
+        x = sum(map(mul, row, image[:n]))
+        target.append([(x >> s & mask) % p
+                       for s in range(0, w * len(free), w)])
 
-    contained = rank_mod_p(target + limit, p) == len(target)
+    contained = rank_mod_p(limit + target, p) == len(limit)
     details = {
         "dim_moving": len(free) - row_limit.dimension(),
-        "dim_limit": len(limit),
-        "dim_target": len(target),
+        "dim_limit": len(free) - len(limit),
+        "dim_target": len(free) - rank_mod_p(target, p),
         "r": r,
         "residual": [E.to_json() for E in residual],
         "contained": contained,

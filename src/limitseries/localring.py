@@ -133,8 +133,13 @@ class Element(_Value):
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _same_ring(self, other):
+        # x_cap may differ: it bounds what is tracked, not the ring
+        return (self.ctx.compatible(other.ctx)
+                and self.ctx.t_trunc == other.ctx.t_trunc)
+
     def _require_same(self, other):
-        if not self.ctx.compatible(other.ctx) or self.ctx.t_trunc != other.ctx.t_trunc:
+        if not self._same_ring(other):
             raise ValueError("elements live in different contexts")
 
     def __add__(self, other):
@@ -188,7 +193,7 @@ class Element(_Value):
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.terms == other.terms
-                and self.ctx.t_trunc == other.ctx.t_trunc)
+                and self._same_ring(other))
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))

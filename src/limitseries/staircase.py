@@ -90,7 +90,7 @@ def _json_int(value, what):
 class Staircase(_Value):
     """A finite staircase of N^d, d >= 1."""
 
-    __slots__ = ("dim", "heights", "_hash")
+    __slots__ = ("dim", "heights")
 
     def __init__(self, dim: int, heights: dict):
         dim = _integer(dim, "dim", 1)
@@ -105,9 +105,7 @@ class Staircase(_Value):
             if h > 0:
                 clean[key] = h
         _validate_monotone(clean)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "heights", clean)
-        object.__setattr__(self, "_hash", hash((dim, tuple(sorted(clean.items())))))
+        super().__init__(dim, clean)
 
     # -- basic queries ------------------------------------------------------
 
@@ -285,15 +283,8 @@ class Staircase(_Value):
 
     # -- dunder ----------------------------------------------------------------
 
-    def __eq__(self, other):
-        return (isinstance(other, Staircase) and self.dim == other.dim
-                and self.heights == other.heights)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # _hash is not an __init__ parameter
-        return Staircase, (self.dim, self.heights)
+    def __hash__(self):  # heights is a dict
+        return hash((self.dim, tuple(sorted(self.heights.items()))))
 
     def __repr__(self):
         if self.dim == 2:

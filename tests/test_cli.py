@@ -440,7 +440,7 @@ class TestLimitCommand:
                               "ambient_base": [4] * 25,
                               "prime": 1000003, "seed": 1}}
         else:
-            # one cell, no scene points: bounded by its kernel bases
+            # one cell, no scene points: bounded by its kernel basis, ker B
             data = {"shapes": [[1]], "speeds": [1], "levels": [],
                     "model": {"degree": case, "line_base_degrees": []},
                     "scene": {"prime": 1000003, "seed": 1}}

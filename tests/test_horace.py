@@ -16,15 +16,16 @@ from limitseries.enriques import (EnriquesDiagram, period_offset_report,
 from limitseries.hilbert import (ambient_sections, bookkeeping_identity,
                                  critical_bounds_report, critical_degree,
                                  virtual_hilbert)
-from limitseries.interp import Site, hilbert_function_of, verify_nagata_theorem
-from limitseries.linalg import kernel_mod_p, rank_mod_p
+from limitseries.interp import (Site, conditions_matrix, hilbert_function_of,
+                               verify_nagata_theorem)
+from limitseries.linalg import rank_mod_p
 from limitseries.localring import RingContext, chain_context, translate_ideal
 from limitseries.staircase import (Staircase, StaircaseTuple, f_staircase,
                                    make_staircase, regular, suppress_tuple)
 
-from util import (bench_workloads, plain_hypothesis_dims,
+from util import (bench_workloads, plain_hypothesis_dims, plain_kernel_mod_p,
                   plain_limit_inclusion_check, plain_limit_target,
-                  plain_rref_mod_p)
+                  plain_rank_mod_p)
 
 P = 1000003
 
@@ -603,35 +604,25 @@ class TestLimitInclusion:
 
     @pytest.mark.parametrize("kms", [(4, 1, 1), (5, 1, 1), (4, 2, 1),
                                      (6, 1, 2)])
-    def test_limit_kernel_read_off_the_row_limit(self, kms, monkeypatch):
-        # the limit system read off flat_limit's reduced rows spans the
-        # kernel of a fresh elimination of those rows over the free columns
-        # of the base rows, the coordinates the check works in
-        seen = {}
-
-        def capture(name, fn):
-            def wrapped(*args):
-                seen[name] = fn(*args)
-                return seen[name]
-            monkeypatch.setattr(horace, name, wrapped)
-
-        capture("flat_limit", horace.flat_limit)
-        capture("reduced_kernel", horace.reduced_kernel)
-        capture("rref_mod_p", horace.rref_mod_p)
+    def test_multiples_of_x_r_in_ker_b_are_x_r_times_base_r(self, kms):
+        # the check cuts its target out of K = ker B by rows and gives base_r
+        # none: g in K vanishes at the places past ambient_sections(d - r),
+        # x^r's prefix in x-block order, exactly when g = x^r h with h in
+        # L_(d-r)(base_r).  Here K comes from a plain elimination
         k, m, _ = kms
         plan, model = build_nagata_plan(*kms)
-        limit_inclusion_check(plan, model, nagata_scene(k, m), seed=1)
-        # the check eliminates the base rows with its columns in x-blocks
-        cols = horace._x_block_columns(model.degree)
-        pivots = set(seen["rref_mod_p"][1])
-        free = [mon for c, mon in enumerate(cols) if c not in pivots]
-        assert len(free) < len(cols)
-        fresh = kernel_mod_p([[row.get((mon, 0), 0) for mon in free]
-                              for row in seen["flat_limit"].rows.values()],
-                             len(free), P)
-        assert len(seen["reduced_kernel"]) == len(fresh)
-        assert (plain_rref_mod_p(seen["reduced_kernel"], P)
-                == plain_rref_mod_p(fresh, P))
+        d = model.degree
+        placed = next(horace._placements(plan, nagata_scene(k, m), 1, "limit"))
+        cols = horace._x_block_columns(d)
+        kernel = plain_kernel_mod_p(
+            conditions_matrix(horace._base_sites(placed, 0), d, P, cols),
+            len(cols), P)
+        assert 0 < len(kernel) < len(cols)
+        columns = list(zip(*kernel))
+        for r in [*range(plan.r + 2), d + 1]:
+            past = columns[ambient_sections(d - r):]
+            assert len(kernel) - plain_rank_mod_p(past, P) == \
+                horace._system_dim(d - r, horace._base_sites(placed, r), P)
 
     def test_oracle_hypotheses_at_degree_12(self):
         plan, model = build_nagata_plan(4, 3, 0)
@@ -655,8 +646,8 @@ class TestLimitInclusion:
             plan, model = build_nagata_plan(*case)
             scene = nagata_scene(*case[:2])
         else:
-            # one cell, no scene points: the limit check's kernel bases
-            # still hold up to one vector per section of the degree
+            # one cell, no scene points: the limit check's kernel basis,
+            # ker B, still holds up to one vector per section of the degree
             plan = simple_plan([make_staircase([1])], (1,), ())
             model = LineSystemModel(degree=case, line_base_degrees=())
             scene = OracleScene(prime=P, seed=1)
@@ -699,6 +690,42 @@ class TestLimitInclusion:
         with pytest.raises(LengthMismatch, match="1 shapes.*slides 4"):
             limit_inclusion_check(plan, model, nagata_scene(5, 2), seed=1,
                                   residual_override=short)
+
+
+class TestLimitInclusionWorkCount:
+    """One limit check eliminates B once and builds one kernel basis, ker B.
+    Its conditions matrices are B's, one per sliding shape and the
+    residual's alone: the target is cut out of ker B by rows, with no
+    matrix of base_r."""
+
+    def test_one_kernel_basis_and_no_base_r_matrix(self, monkeypatch):
+        assert not hasattr(horace, "kernel_mod_p")
+        calls = {"reduced_kernel": [], "rref_mod_p": [],
+                 "conditions_matrix": []}
+        for name, log in calls.items():
+            def counting(*args, fn=getattr(horace, name), log=log, **kw):
+                log.append(fn(*args, **kw))
+                return log[-1]
+            monkeypatch.setattr(horace, name, counting)
+        items = bench_workloads().Limit().generate(1)
+        # a tight plan with two levels, then its control
+        at = next(i for i, item in enumerate(items)
+                  if item.expect.get("tight") and item.args[0].r == 2)
+        for item in items[at:at + 2]:
+            plan, model, scene, seed = item.args
+            residual, override = plan.residual_tuple(), {}
+            if not item.expect["contained"]:
+                residual = suppress_tuple(residual, (0,) * len(plan.shapes))
+                override = {"residual_override": residual,
+                            "r_override": plan.r + 1}
+            for log in calls.values():
+                log.clear()
+            limit_inclusion_check(plan, model, scene, seed=seed, **override)
+            assert len(calls["reduced_kernel"]) == 1
+            assert len(calls["rref_mod_p"]) == 1
+            assert len(calls["conditions_matrix"]) == 2 + len(plan.shapes)
+            assert len(calls["conditions_matrix"][-1]) \
+                == sum(E.degree for E in residual) > 0
 
 
 class TestLimitInclusionAgreesWithPlain:

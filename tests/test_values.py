@@ -179,3 +179,15 @@ def test_copy_and_pickle_round_trip(name, copier):
     twin = copier(value)
     assert type(twin) is type(value) and twin == value
     assert repr(twin) == repr(value)
+
+
+def test_elements_over_different_primes_differ():
+    # equal exactly when arithmetic takes both: the prime decides, x_cap not
+    a = Element(RingContext(1, 101), {((1,), 0): 3})
+    b = Element(RingContext(1, 103), {((1,), 0): 3})
+    assert a != b and not a == b
+    with pytest.raises(ValueError, match="different contexts"):
+        a + b
+    wider = Element(RingContext(1, 101, None, 5), {((1,), 0): 3})
+    assert a == wider and hash(a) == hash(wider)
+    assert a + wider == Element(RingContext(1, 101), {((1,), 0): 6})
