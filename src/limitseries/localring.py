@@ -37,7 +37,15 @@ one _howell_step per coordinate: the row of least valuation at a
 coordinate is its pivot, and the other rows, cancelled against it, and
 its shadow move on to later coordinates.  TModule.truncate canonicalises
 again, and TModule.colon reads the canonical rows directly (the Howell
-property below).
+property below).  A column spanned by shifts x_1^s * base (_graded_space:
+ideal spans and the closed form) goes to from_rows as the fewest rows two
+exact rules leave.  A closed-form quotient t^alpha_i f_w / x_1^i gives
+its unshifted row only: its shifts are multiples of the shifts of the
+quotient before it, f_w for i = 1 (closed_form_span).  A unit tail u *
+x_1^a, u a unit of F_p[t]/(t^n), whose shifts all fit the cap puts every
+coordinate >= a in the column, where the canonical rows are the unit
+rows: only the shifts that start below a are canonicalised, at a
+coordinates (_shifted_column).
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 from math import comb
-from operator import index
+from operator import index, le
 
 from .errors import (BoundaryWarning, CapExceeded, CapExhausted,
                      DivisionWitnessFailure, InvalidSequence,
@@ -87,6 +95,10 @@ class RingContext(_Value):
 
     def compatible(self, other: "RingContext") -> bool:
         return self.dim == other.dim and self.prime == other.prime
+
+    def same_ring(self, other: "RingContext") -> bool:
+        # x_cap may differ: it bounds what is tracked, not the ring
+        return self.compatible(other) and self.t_trunc == other.t_trunc
 
 
 def _monomial_key(key, dim):
@@ -133,13 +145,8 @@ class Element(_Value):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_ring(self, other):
-        # x_cap may differ: it bounds what is tracked, not the ring
-        return (self.ctx.compatible(other.ctx)
-                and self.ctx.t_trunc == other.ctx.t_trunc)
-
     def _require_same(self, other):
-        if not self._same_ring(other):
+        if not self.ctx.same_ring(other.ctx):
             raise ValueError("elements live in different contexts")
 
     def __add__(self, other):
@@ -193,7 +200,7 @@ class Element(_Value):
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.terms == other.terms
-                and self._same_ring(other))
+                and self.ctx.same_ring(other.ctx))
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
@@ -691,28 +698,40 @@ class FamilyIdeal(_Value):
                            self.provenance)
 
     def span(self) -> MonomialSpace:
-        """Span of the ideal up to the x-cap (x- and t-monomial multiples)."""
-        n = self.ctx.t_trunc
+        """Span of the ideal up to the x-cap (x- and t-monomial multiples).
+
+        Every generator must live in the ideal's ring, with the same prime
+        and t-truncation, as Element arithmetic requires; one from another
+        ring raises ValueError.  Each generator becomes a _base once, for
+        all the columns it reaches."""
+        ctx = self.ctx
+        n = ctx.t_trunc
         if n is None:
             raise ValueError("ideal spans need a finite t-truncation")
-        graded = []  # (x_2..x_d exponent, (x_1, t) row, x_1-degree)
+        graded = []  # (x_2..x_d exponent, _base)
         for g in self.generators:
+            if not g.ctx.same_ring(ctx):
+                raise ValueError("generator lives in a different ring "
+                                 "from the ideal")
             if g.is_zero:
                 continue
             wset = {a[1:] for (a, _te) in g.terms}
             if len(wset) != 1:
                 raise ValueError("span of non-graded generators is not supported")
-            row = {(a[0], te): c for (a, te), c in g.terms.items() if te < n}
-            graded.append((wset.pop(), row, max(a[0] for a, _te in g.terms)))
-        return _graded_space(self.ctx, lambda w: [
-            (row, xdeg) for wg, row, xdeg in graded
-            if all(a <= b for a, b in zip(wg, w))])
+            row = {(a[0], te): c for (a, te), c in g.terms.items()}
+            graded.append((wset.pop(), _base(
+                row, max(a[0] for a, _te in g.terms), n, ctx.prime)))
+        return _graded_space(ctx, lambda w: [
+            base for wg, base in graded if all(map(le, wg, w))])
 
 
 def _graded_space(ctx, bases_of):
     """Graded space in ctx with a column for every x_2..x_d exponent w
-    within the x-cap: _shifted_column of bases_of(w), or the full module
-    when that is None."""
+    within the x-cap: _shifted_column of the _base list bases_of(w), or
+    the full module when that is None.  A base says which shifts it
+    contributes (all within the cap, or itself alone) and whether it is a
+    unit tail; _shifted_column canonicalises from the fewest rows those
+    allow."""
     p, n, cap = ctx.prime, ctx.t_trunc, ctx.x_cap
     columns = {}
     for w in _exponents_upto(ctx.dim - 1, cap):
@@ -723,34 +742,77 @@ def _graded_space(ctx, bases_of):
     return MonomialSpace(ctx, columns=columns)
 
 
-def _shifted_column(p, n, ncoords, bases):
-    """Column module spanned by _shifted_rows(n, ncoords, bases)."""
-    return TModule.from_rows(p, n, ncoords, _shifted_rows(n, ncoords, bases))
-
-
-def _shifted_rows(n, ncoords, bases):
-    """x_1^s * base for every (base, xdeg) and every shift s that keeps the
-    x_1-degree xdeg + s below ncoords, keyed for t^n.  Bases are {(x_1
-    exponent, t exponent): coeff} dicts, encoded once each; rows keep the
-    order given."""
+def _base(row, xdeg, n, p, every=True):
+    """A base of a column module, (row, xdeg, every, unit): the {(x_1
+    exponent, t exponent): c} row keyed for t^n, without its entries at
+    t^n and beyond or 0 mod p; the x_1-degree that caps its shifts;
+    whether it contributes every shift x_1^s with xdeg + s below the
+    column's coordinates or only itself, unshifted; and whether it is a
+    unit tail u * x_1^xdeg with every shift, u a unit of R_n: every entry
+    at coordinate xdeg and the one at t^0 nonzero.  A base of higher xdeg
+    gets fewer shifts, so it is no unit tail."""
     b = _key_width(n)
+    row = {k: c % p for k, c in _encode(row, n).items() if c % p}
+    a = xdeg << b
+    unit = (every and a in row and min(row) == a
+            and max(row) < a + (1 << b))
+    return row, xdeg, every, unit
+
+
+def _shifted_column(p, n, ncoords, bases):
+    """The column module spanned by _shifted_rows(n, ncoords, bases) of
+    _base bases, canonicalised from the fewest rows.
+
+    The shifts of a unit tail u * x_1^a put every coordinate >= a in the
+    module.  There its canonical rows are the unit rows, and the rows
+    above them vanish from a on: they are the canonical form, at a
+    coordinates, of the shifts whose lowest coordinate is below a.  So
+    for the least such a the column is TModule.from_rows of those shifts
+    at a coordinates, then the unit rows of a..ncoords - 1; a = 0 is the
+    shared full module, and a head with no rows needs no from_rows.  The
+    Howell form is unique, so the rows are from_rows' of every shift."""
+    a = min((xdeg for _row, xdeg, _every, unit in bases
+             if unit and xdeg < ncoords), default=ncoords)
+    if not a:
+        return TModule.full(p, n, ncoords)
+    gens = _shifted_rows(n, ncoords, bases, a)
+    head = (TModule.from_rows(p, n, a, gens) if gens
+            else TModule(p, n, a, [], [], []))
+    if a == ncoords:
+        return head
+    b = head.b
+    return TModule(p, n, ncoords,
+                   head.rows + [{j << b: 1} for j in range(a, ncoords)],
+                   head.pivots + list(range(a, ncoords)),
+                   head.vals + [0] * (ncoords - a))
+
+
+def _shifted_rows(n, ncoords, bases, below=None):
+    """x_1^s * row for every _base (row, xdeg, every, unit) and every
+    shift s it contributes: each s with xdeg + s below ncoords, or s = 0
+    alone (when xdeg is below ncoords) for a base without every shift.
+    With ``below``, only the shifts whose lowest coordinate is below it.
+    Rows are keyed for t^n, fresh dicts, in the order given."""
+    b = _key_width(n)
+    top = ncoords if below is None else below
     rows = []
-    for base, xdeg in bases:
-        base = _encode(base, n)
-        for s in range(ncoords - xdeg):
+    for row, xdeg, every, _unit in bases:
+        if not row:
+            continue
+        stop = ncoords - xdeg if every else min(1, ncoords - xdeg)
+        for s in range(min(stop, top - (min(row) >> b))):
             s <<= b
-            rows.append({k + s: c for k, c in base.items()})
+            rows.append({k + s: c for k, c in row.items()})
     return rows
 
 
 def _exponents_upto(arity, total):
+    """Exponent tuples of the given arity and sum at most total, sorted:
+    the heads ascend and each head's tails come sorted."""
     if arity == 0:
         return [()]
-    out = []
-    for head in range(total + 1):
-        for tail in _exponents_upto(arity - 1, total - head):
-            out.append((head,) + tail)
-    return sorted(out)
+    return [(head,) + tail for head in range(total + 1)
+            for tail in _exponents_upto(arity - 1, total - head)]
 
 
 def _require_dim(E, ctx):
@@ -886,8 +948,8 @@ def _chain_column(p, v, h, ns, ncoords, colons):
     mask = (1 << b) - 1
     one = 1 << b  # coordinate 1 at t^0
     # the Howell step reads valuations off the keys: no entry 0 mod p
-    base = {k: c % p for k, c in _translated_power(h, v, n).items() if c % p}
-    rows = _shifted_rows(n, ncoords, [(base, h)])
+    rows = _shifted_rows(n, ncoords, [_base(_translated_power(h, v, n), h,
+                                            n, p)])
     for idx, n in enumerate(ns):
         if idx:  # the images of generators generate the image
             rows = [r for r in ({k: c for k, c in row.items() if k & mask < n}
@@ -980,11 +1042,21 @@ def closed_form_residual(E: Staircase, v: int, ns, ctx=None) -> FamilyIdeal:
 def closed_form_span(E: Staircase, v: int, ns, ctx=None) -> MonomialSpace:
     """Span of the closed form as an (x_1, t)-module, plus the untouched
     block of columns with height zero; directly comparable with
-    residual_chain output."""
+    residual_chain output.
+
+    f_w contributes every shift within the cap and each quotient q_i =
+    t^{alpha_i} f_w / x_1^i only itself: for i, s >= 1, x_1^s q_i =
+    t^{alpha_i - alpha_{i-1}} x_1^{s-1} q_{i-1} with q_0 = f_w and
+    alpha_0 = 0, and alpha_i never decreases in i because the levels
+    decrease; s < ncoords - (h - i) exactly when s - 1 < ncoords - (h -
+    i + 1), so every shift of q_i is a multiple of a shift of q_{i-1}
+    already in the span.  An empty quotient contributes nothing."""
     ectx, k, bases = _closed_form_bases(E, v, ns, ctx)
+    n, p = ectx.t_trunc, ectx.prime
     return _graded_space(
         ectx.with_cap(ectx.x_cap - k),
-        lambda w: [(row, xdeg) for row, xdeg in bases[w] if row]
+        lambda w: [_base(row, xdeg, n, p, every=not i)
+                   for i, (row, xdeg) in enumerate(bases[w])]
         if w in bases else None)
 
 

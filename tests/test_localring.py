@@ -16,8 +16,9 @@ from limitseries.errors import (BoundaryWarning, CapExceeded, CapExhausted,
 from limitseries.linalg import (is_prime, kernel_mod_p, kernel_over_fpt,
                                 padd, pmul, pnorm, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
-                                   RingContext, TModule, _chain_column,
-                                   _key_width, _shifted_column,
+                                   RingContext, TModule, _base,
+                                   _chain_column, _key_width,
+                                   _shifted_column, _shifted_rows,
                                    _translated_power,
                                    boundary_columns,
                                    chain_context, closed_form_residual,
@@ -29,9 +30,11 @@ from limitseries.staircase import make_staircase, regular, suppress_seq
 from util import (bench_pyramid_chains, bench_workloads, canonical,
                   chain_corpus, decode_rows, encode_rows,
                   howell_bucket_corpus, howell_corpus,
-                  monomial_span, plain_closed_form, plain_flat_limit,
-                  plain_from_rows, plain_residual_chain, plain_rref_mod_p,
+                  monomial_span, plain_closed_form, plain_closed_form_span,
+                  plain_column, plain_flat_limit, plain_from_rows,
+                  plain_ideal_span, plain_residual_chain, plain_rref_mod_p,
                   plain_special_fiber, random_levels, random_staircase,
+                  shifted_column_corpus,
                   staircases_up_to, torus_corpus, torus_flat_limit,
                   torus_scene)
 
@@ -1307,7 +1310,7 @@ class TestChainAgreesWithPlain:
         for ncoords in range(1, h + 3):
             for colons in range(min(ncoords, len(ns) + 1)):
                 got = _chain_column(p, v, h, ns, ncoords, colons)
-                ref = _shifted_column(p, ns[0], ncoords, [
+                ref = plain_column(p, ns[0], ncoords, [
                     (_translated_power(h, v, ns[0]), h)])
                 for idx, n in enumerate(ns):
                     ref = ref.truncate(n)
@@ -1350,3 +1353,154 @@ class TestChainWorkCount:
                     space = chain(E, v, ns, ctx)
                 surviving = [w for w in space.columns if w in E.heights]
                 assert surviving and levels == [ns[-1]] * len(surviving)
+
+
+class TestShiftedColumn:
+    """_shifted_column canonicalises a column from the fewest rows: a unit
+    tail u * x_1^a leaves only the shifts below coordinate a to from_rows,
+    and a closed-form quotient contributes itself alone.  The Howell form
+    is unique, so the column must equal from_rows of every shift."""
+
+    def test_agrees_with_from_rows_of_every_shift(self):
+        seen = set()
+        for p, n, ncoords, raw in shifted_column_corpus(seed=41, count=30000):
+            bases = [_base(row, xdeg, n, p, every)
+                     for row, xdeg, every in raw]
+            got = _shifted_column(p, n, ncoords, bases)
+            ref = TModule.from_rows(p, n, ncoords,
+                                    _shifted_rows(n, ncoords, bases))
+            assert (got.p, got.n, got.ncoords, got.rows, got.pivots,
+                    got.vals) == (ref.p, ref.n, ref.ncoords, ref.rows,
+                                  ref.pivots, ref.vals), (p, n, ncoords, raw)
+            a = min([xdeg for _r, xdeg, _e, unit in bases if unit]
+                    + [ncoords])
+            head = _shifted_rows(n, ncoords, bases, a)
+            seen.add("full" if a == 0 else "no unit" if a == ncoords
+                     else "unit, head" if head else "unit, no head")
+            if any(not row for row, _x, _e, _u in bases):
+                seen.add("empty base")
+        assert seen == {"full", "no unit", "unit, head", "unit, no head",
+                        "empty base"}
+
+    def test_base_classification(self):
+        p, n = 5, 3
+        assert _base({(2, 0): 3}, 2, n, p)[3]  # x_1^2, unit
+        assert _base({(2, 0): 3, (2, 2): 1, (2, 3): 1}, 2, n, p)[3]
+        assert _base({(2, 0): 3, (3, 0): 5}, 2, n, p)[3]  # 5 = 0 mod p
+        assert not _base({(2, 0): 3}, 3, n, p)[3]  # fewer shifts
+        assert not _base({(2, 1): 3}, 2, n, p)[3]  # t * x_1^2
+        assert not _base({(2, 0): 10, (2, 1): 1}, 2, n, p)[3]
+        assert not _base({(2, 0): 3, (1, 2): 1}, 2, n, p)[3]
+        assert not _base({(2, 0): 3}, 2, n, p, every=False)[3]
+        assert _base({(2, 3): 1}, 2, n, p)[0] == {}  # empty below t^3
+
+    def test_closed_form_span_equals_every_shift(self):
+        """closed_form_span against plain_from_rows of every x_1-shift of
+        closed_form_residual's generators within the cap."""
+        for E, v, ns in chain_corpus(seed=43, count=60) + pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            assert canonical(closed_form_span(E, v, ns, ctx)) == \
+                canonical(plain_closed_form_span(E, v, ns, ctx))
+
+    def test_ideal_span_agrees_with_plain(self):
+        """FamilyIdeal.span against plain_ideal_span: translated ideals,
+        their special fibers and the monomial ideals of suppressed
+        staircases, at t^1 and at the first level."""
+        for E, v, ns in chain_corpus(seed=47, count=40) + pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            S = suppress_seq(E, [n // v for n in ns])
+            ideals = [translate_ideal(E, v, chain_context(E, v, []))]
+            ideals.append(ideals[0].truncate(1))
+            for c in (ctx, ctx.with_t(1)):
+                ideals.append(FamilyIdeal(c, tuple(
+                    Element(c, {(tuple(g), 0): 1})
+                    for g in S.complement_generators())))
+            for ideal in ideals:
+                assert canonical(ideal.span()) == \
+                    canonical(plain_ideal_span(ideal.ctx, ideal.generators))
+
+
+class TestIdealSpanRing:
+    """A generator must live in the ideal's ring: the same prime and
+    t-truncation, as Element arithmetic requires."""
+
+    def test_generator_of_a_wider_truncation_refused(self):
+        # built at t^10, 1 + x_1^3 t^5 spanned dimension 20 at t^2: its
+        # x-degree counted the term the row dropped.  At t^2 it is 1.
+        c2 = RingContext(dim=2, prime=101, t_trunc=2, x_cap=6)
+        terms = {((0, 0), 0): 1, ((3, 0), 5): 1}
+        with pytest.raises(ValueError, match="different ring"):
+            FamilyIdeal(c2, (Element(c2.with_t(10), terms),)).span()
+        assert FamilyIdeal(c2, (Element(c2, terms),)).span().dimension() \
+            == 56
+
+    def test_generator_over_another_prime_refused(self):
+        c101 = RingContext(dim=2, prime=101, t_trunc=3, x_cap=4)
+        c7 = RingContext(dim=2, prime=7, t_trunc=3, x_cap=4)
+        g7 = Element.monomial(c7, (1, 0))
+        with pytest.raises(ValueError, match="different ring"):
+            FamilyIdeal(c101, (g7,)).span()
+        with pytest.raises(ValueError, match="different contexts"):
+            Element.monomial(c101, (1, 0)) + g7
+
+    def test_another_x_cap_is_the_same_ring(self):
+        c = RingContext(dim=2, prime=101, t_trunc=3, x_cap=4)
+        g = Element.monomial(c.with_cap(9), (1, 0))
+        assert FamilyIdeal(c, (g,)).span() == \
+            FamilyIdeal(c, (Element.monomial(c, (1, 0)),)).span()
+
+
+class TestShiftedColumnWorkCount:
+    """The rows _shifted_column hands to TModule.from_rows, counted
+    through a monkeypatched from_rows."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        fast = TModule.from_rows.__func__
+        calls = []
+
+        def counting(cls, p, n, ncoords, gen_rows, width=None):
+            calls.append((ncoords, len(gen_rows)))
+            return fast(cls, p, n, ncoords, gen_rows, width)
+
+        monkeypatch.setattr(TModule, "from_rows", classmethod(counting))
+        return calls
+
+    def test_monomial_ideal_span_makes_no_call(self, monkeypatch):
+        """Every column of a monomial ideal is a unit tail with no head."""
+        calls = self.counting(monkeypatch)
+        for E, v, ns in chain_corpus(seed=53, count=40) + pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            S = suppress_seq(E, [n // v for n in ns])
+            for c in (ctx, ctx.with_t(1)):
+                FamilyIdeal(c, tuple(Element(c, {(tuple(g), 0): 1})
+                                     for g in S.complement_generators())
+                            ).span()
+        assert calls == []
+
+    def test_closed_form_rows_per_column(self, monkeypatch):
+        """A column of height h gets every shift of f_w within the cap and
+        each nonempty quotient once: (ncoords - h) + (nonempty quotients)
+        rows.  When v >= n_k, f_w is the unit tail x_1^h at t^{n_k}: the
+        quotients alone, at h coordinates, and no call without one."""
+        calls = self.counting(monkeypatch)
+        tails = 0
+        for E, v, ns in chain_corpus(seed=59, count=80) + pyramid_chains():
+            ctx = chain_context(E, v, ns)
+            calls.clear()
+            cap = closed_form_span(E, v, ns, ctx).ctx.x_cap
+            k, n_k = len(ns), ns[-1]
+            expected = []
+            for w in sorted(E.heights):
+                h = E.heights[w]
+                quotients = sum(max(0, ns[k - i] - v * h) < n_k
+                                for i in range(1, k + 1))
+                ncoords = cap - sum(w) + 1
+                if v < n_k:
+                    expected.append((ncoords, ncoords - h + quotients))
+                else:
+                    tails += 1
+                    if quotients:
+                        expected.append((h, quotients))
+            assert calls == expected, (E, v, ns)
+        assert tails

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 import sys
 from math import comb
@@ -15,9 +16,9 @@ from limitseries.linalg import (_BYTE_ROUTE_BITS, _slot_width,
                                 kernel_mod_p, rank_mod_p, rref_mod_p)
 from limitseries.localring import (Element, FamilyIdeal, MonomialSpace,
                                    RingContext, TModule, _chain_entry,
-                                   _encode, _graded_space, _order_key,
+                                   _encode, _order_key,
                                    _sp_inv, _sparse_rref, _translated_power,
-                                   flat_limit)
+                                   closed_form_residual, flat_limit)
 from limitseries.staircase import (Staircase, f_staircase, make_staircase,
                                    regular)
 
@@ -293,6 +294,51 @@ def howell_corpus(seed, count=300):
             rows += [{(j, 0): rng.randrange(1, p), (m - 1, 0): 1},
                      {(j, rng.randrange(1, n)): 1, (j, n - 1): 1}]
         out.append((p, n, m, rows))
+    return out
+
+
+def shifted_column_corpus(seed, count):
+    """Seeded (p, n, ncoords, bases) inputs of _shifted_column, n <= 6 and
+    ncoords <= 7, each base (row, xdeg, every) with a {(x_1 exponent, t
+    exponent): c} row: unit monomials x_1^a with xdeg == a and with xdeg >
+    a, t * x_1^a (no unit), units with t-tails, entries 0 mod p (at t^0,
+    or off coordinate a), rows empty below t^n and rows over several
+    coordinates; a fifth of the bases contribute only themselves."""
+    rng = random.Random(seed)
+    primes = (2, 3, 5, 101, 2**61 - 1)
+    out = []
+    for idx in range(count):
+        p = primes[idx % len(primes)]
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        bases = []
+        for _ in range(rng.randint(0, 4)):
+            a, c = rng.randrange(m + 1), rng.randrange(1, p)
+            kind = rng.randrange(7)
+            if kind == 0:  # a unit monomial
+                row, xdeg = {(a, 0): c}, a
+            elif kind == 1:  # a higher xdeg gets fewer shifts
+                row, xdeg = {(a, 0): c}, a + rng.randint(1, 2)
+            elif kind == 2:  # t * x_1^a, no unit (empty at n = 1)
+                row, xdeg = {(a, 1): c}, a
+            elif kind == 3:  # a unit with a t-tail, maybe cut at t^n
+                row, xdeg = {(a, 0): c}, a
+                for _ in range(rng.randint(1, 2)):
+                    row[(a, rng.randint(1, n))] = rng.randrange(-p, p)
+            elif kind == 4:  # an entry 0 mod p
+                if rng.random() < 0.5:
+                    row = {(a, 0): p * rng.randint(0, 2), (a, 1): c}
+                else:
+                    row = {(a, 0): c, (a + 1, rng.randrange(n)): -p}
+                xdeg = a
+            elif kind == 5:  # nothing below t^n
+                row, xdeg = {(a, n + rng.randrange(2)): c}, a
+            else:
+                row = {(rng.randrange(a + 1), rng.randrange(n + 1)):
+                       rng.randrange(-2 * p, 2 * p)
+                       for _ in range(rng.randint(1, 4))}
+                xdeg = max(j for j, _te in row) + rng.randint(0, 1)
+            bases.append((row, xdeg, rng.random() < 0.8))
+        out.append((p, n, m, bases))
     return out
 
 
@@ -700,11 +746,73 @@ def torus_corpus(seed, p, count=60, max_degree=9):
     return out
 
 
+def plain_column(p, n, ncoords, gens):
+    """The column module of every shift x_1^s * row of each (row, xdeg) in
+    gens with xdeg + s below ncoords, by plain_from_rows, its rows keyed as
+    TModule rows: the reference for columns built from fewer rows."""
+    ref = plain_from_rows(p, n, ncoords, [
+        {(j + s, te): c for (j, te), c in row.items()}
+        for row, xdeg in gens for s in range(ncoords - xdeg)])
+    return TModule(p, n, ncoords, encode_rows(ref.rows, n), ref.pivots,
+                   ref.vals)
+
+
+def plain_graded_space(ctx, gens_of) -> MonomialSpace:
+    """A graded space in ctx with a column for every x_2..x_d exponent w of
+    sum within the x-cap: plain_column of gens_of(w), or the free module
+    when that is None."""
+    p, n, cap = ctx.prime, ctx.t_trunc, ctx.x_cap
+    columns = {}
+    for w in itertools.product(range(cap + 1), repeat=ctx.dim - 1):
+        ncoords = cap - sum(w) + 1
+        if ncoords < 1:
+            continue
+        gens = gens_of(w)
+        columns[w] = (TModule.full(p, n, ncoords) if gens is None
+                      else plain_column(p, n, ncoords, gens))
+    return MonomialSpace(ctx, columns=columns)
+
+
+def _graded_generators(generators):
+    """(u, row, xdeg) of each nonzero graded Element x^u * g(x_1, t): its
+    {(x_1 exponent, t exponent): c} row and x_1-degree."""
+    out = []
+    for g in generators:
+        if not g.is_zero:
+            (u,) = {a[1:] for a, _te in g.terms}
+            out.append((u, {(a[0], te): c for (a, te), c in g.terms.items()},
+                        max(a[0] for a, _te in g.terms)))
+    return out
+
+
+def plain_ideal_span(ctx, generators) -> MonomialSpace:
+    """The span of graded Elements up to the x-cap: in every column w, the
+    x_1-shifts of each generator x^u * g(x_1, t) with u <= w
+    (plain_graded_space), the reference for FamilyIdeal.span."""
+    graded = _graded_generators(generators)
+    return plain_graded_space(ctx, lambda w: [
+        (row, xdeg) for u, row, xdeg in graded
+        if all(a <= b for a, b in zip(u, w))])
+
+
 def monomial_span(E: Staircase, ctx: RingContext) -> MonomialSpace:
-    """Span of the monomial ideal I^E inside the context."""
-    gens = tuple(Element(ctx, {(tuple(c), 0): 1})
-                 for c in E.complement_generators())
-    return FamilyIdeal(ctx, gens, "derived").span()
+    """Span of the monomial ideal I^E inside the context (plain_ideal_span)."""
+    return plain_ideal_span(ctx, [Element(ctx, {(tuple(c), 0): 1})
+                                  for c in E.complement_generators()])
+
+
+def plain_closed_form_span(E: Staircase, v, ns, ctx: RingContext):
+    """The span of every x_1-shift of closed_form_residual's generators
+    within the chain's x-cap, column by column (plain_graded_space), plus
+    the free columns of height zero: the reference for closed_form_span,
+    which leaves out the shifts of the quotients."""
+    ideal = closed_form_residual(E, v, ns, ctx)
+    by_column: dict = {}
+    for w, row, xdeg in _graded_generators(ideal.generators):
+        by_column.setdefault(w, []).append((row, xdeg))
+    return plain_graded_space(
+        ideal.ctx.with_cap(ideal.ctx.x_cap - len(ns)),
+        lambda w: by_column.get(w, []) if w in E.heights else None)
 
 
 def canonical(space: MonomialSpace):
@@ -720,11 +828,10 @@ def plain_special_fiber(obj) -> MonomialSpace:
     of every column's canonical rows: the reference the truncation to t^1
     must match."""
     if isinstance(obj, FamilyIdeal):
-        fibers = [Element(obj.ctx.with_t(1),
-                          {k: c for k, c in g.terms.items() if k[1] == 0})
-                  for g in obj.generators]
-        return FamilyIdeal(obj.ctx.with_t(1), tuple(fibers),
-                           obj.provenance).span()
+        return plain_ideal_span(obj.ctx.with_t(1), [
+            Element(obj.ctx.with_t(1),
+                    {k: c for k, c in g.terms.items() if k[1] == 0})
+            for g in obj.generators])
     ctx = obj.ctx.with_t(1)
     cols = {}
     for w, m in obj.columns.items():
@@ -750,7 +857,7 @@ def plain_residual_chain(E: Staircase, v, ns, ctx, final_colon):
     must match."""
     v, ns, ctx = _chain_entry(E, v, ns, ctx)
     n1, heights = ns[0], E.heights
-    space = _graded_space(ctx.with_t(n1), lambda w: [
+    space = plain_graded_space(ctx.with_t(n1), lambda w: [
         (_translated_power(heights[w], v, n1), heights[w])]
         if w in heights else None)
     for idx, n in enumerate(ns):
